@@ -54,10 +54,8 @@ from .model import (
 from .npmle import (
     CureArgmaxInterval,
     NpmleFit,
-    fit_sorted,
     inconsistency_probe,
     log_lik,
-    maxmin_brute,
     npmle_cure_argmax_interval,
     npmle_pava,
     profile_cure_loglik,
@@ -90,13 +88,11 @@ __all__ = [
     "cv_m1_curve",
     "cv_m2_curve",
     "estimate_cure",
-    "fit_sorted",
     "gumbel_norming_exponential",
     "half_normal_cdf",
     "inconsistency_probe",
     "ks_distance",
     "log_lik",
-    "maxmin_brute",
     "npmle_cure_argmax_interval",
     "npmle_pava",
     "plug_ins",

@@ -54,8 +54,8 @@ class NormingConstants:
 def gumbel_norming_exponential(n: int, rate: float) -> NormingConstants:
     if n < 1:
         raise ValueError("n must be at least 1")
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError("rate must be positive and finite")
     return NormingConstants(a=1.0 / rate, b=math.log(n) / rate)
 
 

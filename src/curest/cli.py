@@ -18,7 +18,7 @@ import os
 import sys
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .asymptotics import CutoffRule, McConfig, run_mc, thinning_check
 from .estimators import (
@@ -60,24 +60,23 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _check_mixture_flags(args, parser, p_open: bool = False) -> MixtureSpec:
-    if p_open:
-        if not 0.0 < args.p < 1.0:
-            parser.error("--p must lie strictly inside (0, 1)")
-    elif not 0.0 <= args.p <= 1.0:
-        parser.error("--p must lie in [0, 1]")
-    if args.f_rate <= 0:
-        parser.error("--f-rate must be positive")
-    if args.g_rate <= 0:
-        parser.error("--g-rate must be positive")
-    return MixtureSpec(p=args.p, event=Exponential(args.f_rate), inspection=Exponential(args.g_rate))
+def _checked(args, flag: str, build, *params):
+    """Call a validating library constructor or function; its ValueError
+    becomes a usage error (exit 2) naming the flag that supplied the value."""
+    try:
+        return build(*params)
+    except ValueError as exc:
+        args.parser.error(f"{flag}: {exc}")
+
+
+def _mixture(args) -> MixtureSpec:
+    event = _checked(args, "--f-rate", Exponential, args.f_rate)
+    inspection = _checked(args, "--g-rate", Exponential, args.g_rate)
+    return _checked(args, "--p", MixtureSpec, args.p, event, inspection)
 
 
 def cmd_simulate(args) -> int:
-    parser = args.parser
-    spec = _check_mixture_flags(args, parser)
-    if args.n < 1:
-        parser.error("--n must be at least 1")
+    spec = _mixture(args)
     sample = simulate(spec, args.n, args.seed)
     write_csv(sample, args.out)
     print(f"n={sample.n} delta_bar={float(np.mean(sample.delta)):.6g}")
@@ -96,9 +95,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    parser = args.parser
-    if args.guard < 1:
-        parser.error("--guard must be at least 1")
     ss = sort_with_concomitants(read_csv(args.data))
     m2 = cv_m2_curve(ss, variance_stat=args.variance_stat)
     try:
@@ -140,10 +136,8 @@ def cmd_estimate(args) -> int:
     parser = args.parser
     if not 0.0 < args.alpha < 1.0:
         parser.error("--alpha must lie strictly inside (0, 1)")
-    if args.guard is not None and args.guard < 1:
-        parser.error("--guard must be at least 1")
-    if args.method == "fixed-index" and (args.index is None or args.index < 1):
-        parser.error("--method fixed-index needs --index >= 1")
+    if args.method == "fixed-index" and args.index is None:
+        parser.error("--method fixed-index needs --index")
     if args.method == "fixed-quantile" and (
         args.quantile is None or not 0.0 < args.quantile < 1.0
     ):
@@ -151,10 +145,7 @@ def cmd_estimate(args) -> int:
     if args.method == "theoretical-exp":
         if args.p is None or args.f_rate is None or args.g_rate is None:
             parser.error("--method theoretical-exp needs --p, --f-rate and --g-rate")
-        if not 0.0 < args.p < 1.0:
-            parser.error("--p must lie strictly inside (0, 1)")
-        if args.f_rate <= 0 or args.g_rate <= 0:
-            parser.error("--f-rate and --g-rate must be positive")
+        spec = _mixture(args)
 
     ss = sort_with_concomitants(read_csv(args.data))
     tr = trace(ss)
@@ -175,7 +166,12 @@ def cmd_estimate(args) -> int:
             "(--p/--f-rate/--g-rate), not the data",
             file=sys.stderr,
         )
-        x_star = theoretical_cutoff_exponential(tr.n, args.p, args.f_rate, args.g_rate)
+        # With the rates and n already valid, only p outside (0, 1) is left
+        # for the closed form to reject.
+        x_star = _checked(
+            args, "--p", theoretical_cutoff_exponential,
+            tr.n, spec.p, spec.event.rate, spec.inspection.rate,
+        )
         pos = int(np.searchsorted(ss.y, x_star, side="left"))
         if pos == tr.n:
             raise ValueError(
@@ -184,7 +180,7 @@ def cmd_estimate(args) -> int:
         choice = choice_at_index(tr, pos + 1, method="theoretical-exp", guard=guard)
 
     est = estimate_cure(tr, choice)
-    z = float(norm.ppf(1.0 - args.alpha / 2.0))
+    z = float(ndtri(1.0 - args.alpha / 2.0))
     center = 1.0 - est.p_hat1
     half = z * math.sqrt(est.p_hat1 * (1.0 - est.p_hat1)) / math.sqrt(est.tail_count)
     ci_lo = max(0.0, center - half)
@@ -212,31 +208,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    parser = args.parser
-    spec = _check_mixture_flags(args, parser, p_open=True)
-    if args.n < 1:
-        parser.error("--n must be at least 1")
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
-    if args.cutoff == "fixed-x":
-        if args.cutoff_x is None or args.cutoff_x < 0:
-            parser.error("--cutoff fixed-x needs --cutoff-x >= 0")
-        rule = CutoffRule(kind="fixed-x", x=args.cutoff_x)
-    elif args.cutoff == "fixed-tail":
-        if args.tail_count is None or args.tail_count < 1:
-            parser.error("--cutoff fixed-tail needs --tail-count >= 1")
-        rule = CutoffRule(kind="fixed-tail", tail=args.tail_count)
-    else:
-        rule = CutoffRule(kind=args.cutoff)
-    config = McConfig(
-        spec=spec,
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        cutoff=rule,
-        studentization=args.studentization,
+    spec = _mixture(args)
+    flag = {"fixed-x": "--cutoff-x", "fixed-tail": "--tail-count"}.get(args.cutoff, "--cutoff")
+    rule = _checked(args, flag, CutoffRule, args.cutoff, args.cutoff_x, args.tail_count)
+    # The count flags and the choices are checked by argparse, so the only
+    # value McConfig can still reject is p at 0 or 1.
+    config = _checked(
+        args, "--p", McConfig, spec, args.n, args.reps, args.seed, rule, args.studentization
     )
     res = run_mc(config, workers=args.threads)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -262,17 +240,12 @@ def cmd_mc(args) -> int:
 
 
 def cmd_thinning(args) -> int:
-    parser = args.parser
-    spec = _check_mixture_flags(args, parser)
-    if args.n < 1:
-        parser.error("--n must be at least 1")
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    spec = _mixture(args)
+    # thinning_check owns this range too, but it also runs the replications,
+    # so a guard around it would report their failures as usage errors.
     for target in args.target_mean:
         if not (0.0 < target <= args.n):
-            parser.error("--target-mean entries must satisfy 0 < target <= n")
+            args.parser.error("--target-mean entries must satisfy 0 < target <= n")
     stats = thinning_check(
         spec, args.n, args.target_mean, args.reps, args.seed, workers=args.threads
     )
@@ -296,6 +269,25 @@ def cmd_thinning(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on; the CPU count where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _add_mixture_flags(sub, required: bool = True) -> None:
     sub.add_argument("--p", type=float, required=required, help="cure fraction")
     sub.add_argument("--f-rate", type=float, required=required, help="event-time exponential rate")
@@ -310,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cure-fraction estimation from current-status data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    cpus = _available_cpus()
 
     p_sim = sub.add_parser("simulate", help="draw a dataset and write delta,y CSV")
     _add_mixture_flags(p_sim)
-    p_sim.add_argument("--n", type=int, required=True, help="sample size")
+    p_sim.add_argument("--n", type=_count, required=True, help="sample size")
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
@@ -326,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="cut-off selection objectives per threshold")
     p_cv.add_argument("--data", required=True, help="input delta,y CSV")
     p_cv.add_argument("--out", required=True, help="output CSV path")
-    p_cv.add_argument("--guard", type=int, default=5, help="minimum tail count for selection")
+    p_cv.add_argument("--guard", type=_count, default=5, help="minimum tail count for selection")
     p_cv.add_argument(
         "--variance-stat",
         choices=("p1", "p2"),
@@ -342,11 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("cv-m1", "cv-m2", "theoretical-exp", "fixed-index", "fixed-quantile"),
     )
-    p_est.add_argument("--index", type=int, help="1-based cut-off index (fixed-index)")
+    p_est.add_argument("--index", type=_count, help="1-based cut-off index (fixed-index)")
     p_est.add_argument("--quantile", type=float, help="inspection quantile in (0,1) (fixed-quantile)")
     p_est.add_argument(
         "--guard",
-        type=int,
+        type=_count,
         default=None,
         help="minimum tail count (default 5 for cv methods, 1 otherwise)",
     )
@@ -357,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="replicated studentized tail statistics")
     _add_mixture_flags(p_mc)
-    p_mc.add_argument("--n", type=int, required=True, help="sample size per replication")
-    p_mc.add_argument("--reps", type=int, required=True, help="number of replications")
+    p_mc.add_argument("--n", type=_count, required=True, help="sample size per replication")
+    p_mc.add_argument("--reps", type=_count, required=True, help="number of replications")
     p_mc.add_argument("--seed", type=int, default=0, help="base seed; replication k uses seed+k")
     p_mc.add_argument(
         "--cutoff",
@@ -366,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="optimal",
     )
     p_mc.add_argument("--cutoff-x", type=float, help="threshold for --cutoff fixed-x")
-    p_mc.add_argument("--tail-count", type=int, help="tail size for --cutoff fixed-tail")
+    p_mc.add_argument("--tail-count", type=_count, help="tail size for --cutoff fixed-tail")
     p_mc.add_argument(
         "--studentization", choices=("known-p", "plug-in"), default="known-p"
     )
@@ -374,16 +367,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--json-summary", help="write machine-readable summary JSON here")
     p_mc.add_argument(
         "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
+        type=_count,
+        default=cpus,
         help="worker processes (results are independent of this)",
     )
     p_mc.set_defaults(func=cmd_mc)
 
     p_th = sub.add_parser("thinning", help="tail counts split by indicator value")
     _add_mixture_flags(p_th)
-    p_th.add_argument("--n", type=int, required=True, help="sample size per replication")
-    p_th.add_argument("--reps", type=int, required=True, help="number of replications")
+    p_th.add_argument("--n", type=_count, required=True, help="sample size per replication")
+    p_th.add_argument("--reps", type=_count, required=True, help="number of replications")
     p_th.add_argument("--seed", type=int, default=0, help="base seed; replication k uses seed+k")
     p_th.add_argument(
         "--target-mean",
@@ -395,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--out", required=True, help="output CSV path")
     p_th.add_argument(
         "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
+        type=_count,
+        default=cpus,
         help="worker processes (results are independent of this)",
     )
     p_th.set_defaults(func=cmd_thinning)

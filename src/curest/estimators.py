@@ -161,13 +161,16 @@ def choice_at_index(
     )
 
 
-def plug_ins(ss: SortedSample) -> PlugIns:
+def plug_ins(tr: EstimatorTrace) -> PlugIns:
     """Overall indicator mean, the per-record mean of the running-max tail
-    average, and the tail-exponent estimate they induce."""
-    tr = trace(ss)
-    sizes = np.diff(np.append(tr.index - 1, ss.n))
-    delta_bar = float(np.mean(ss.delta))
-    p2_bar = float(np.sum(tr.p2 * sizes) / ss.n)
+    average, and the tail-exponent estimate they induce.
+
+    The first group's tail is the whole sample, so the overall mean is
+    ``p1[0]``; each group's p2 counts once per record in the group.
+    """
+    sizes = -np.diff(np.append(tr.tail_count, 0))
+    delta_bar = float(tr.p1[0])
+    p2_bar = float(np.sum(tr.p2 * sizes) / tr.n)
     gap = p2_bar - delta_bar
     alpha_hat = delta_bar / gap if gap > 0 else math.nan
     return PlugIns(delta_bar=delta_bar, p2_bar=p2_bar, alpha_hat=alpha_hat)
@@ -191,13 +194,13 @@ def cv_m1_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
     the empirical tail fraction raised to 2*alpha_hat.  Requires a valid
     alpha_hat; without one use cv_m2_curve, which needs no tail exponent.
     """
-    pi = plug_ins(ss)
+    tr = trace(ss)
+    pi = plug_ins(tr)
     if not pi.valid:
         raise ValueError(
             "alpha_hat is undefined (p2_bar <= delta_bar); "
             "the m2 objective does not need it"
         )
-    tr = trace(ss)
     variance = _variance_term(tr, variance_stat)
     gap = pi.p2_bar - pi.delta_bar
     bias_sq = gap * gap * (tr.tail_count / tr.n) ** (2.0 * pi.alpha_hat)
@@ -219,8 +222,8 @@ def cv_m2_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
     Needs no tail-exponent estimate, so it stays defined when alpha_hat is
     invalid.
     """
-    pi = plug_ins(ss)
     tr = trace(ss)
+    pi = plug_ins(tr)
     variance = _variance_term(tr, variance_stat)
     centered = tr.p2 - pi.p2_bar
     return CvCurve(
@@ -279,8 +282,8 @@ def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
         raise ValueError("n must be at least 1")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    if event_rate <= 0 or inspect_rate <= 0:
-        raise ValueError("rates must be positive")
+    if not all(math.isfinite(r) and r > 0 for r in (event_rate, inspect_rate)):
+        raise ValueError("rates must be positive and finite")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("x must be nonnegative")
@@ -307,8 +310,8 @@ def theoretical_cutoff_exponential(
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
-    if event_rate <= 0 or inspect_rate <= 0:
-        raise ValueError("rates must be positive")
+    if not all(math.isfinite(r) and r > 0 for r in (event_rate, inspect_rate)):
+        raise ValueError("rates must be positive and finite")
     lam, mu = event_rate, inspect_rate
     arg = 2.0 * lam * (1.0 - p) * mu * n / (p * (lam + mu) ** 2)
     if arg <= 1.0:

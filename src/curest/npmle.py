@@ -4,8 +4,8 @@ With indicators ordered by inspection time, the Bernoulli log likelihood
 ``sum(d_i log F_i + (1 - d_i) log(1 - F_i))`` is maximized over nondecreasing
 vectors by pooling adjacent violators; the fitted value at position i also
 equals the max-min of window means ``max_{h<=i} min_{k>=i} mean(d[h..k])``.
-Both routes are implemented: the pooled pass is the production path and the
-cubic max-min evaluation is the oracle it is checked against.
+The pooled pass is implemented here; the tests check it against a literal
+cubic max-min evaluation.
 
 The fit is also the backbone of the profile likelihood in the cure fraction:
 capping the fitted CDF at ``1 - p`` and rescoring gives the constrained
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import map_replication_chunks
-from .model import CurrentStatusSample, MixtureSpec, simulate, sort_with_concomitants
+from .model import MixtureSpec, simulate, sort_with_concomitants
 
 
 @dataclass(frozen=True)
@@ -49,31 +49,6 @@ def _as_indicator(deltas) -> np.ndarray:
     if not np.all((d == 0) | (d == 1)):
         raise ValueError("deltas entries must be 0 or 1")
     return d
-
-
-def maxmin_brute(deltas) -> NpmleFit:
-    """Literal max-min evaluation, cubic time; the reference oracle.
-
-    Window means are formed as integer sum over integer count, the same
-    single float division the pooled pass performs, so the two routes agree
-    bit for bit, not just within rounding.
-    """
-    d = _as_indicator(deltas)
-    n = d.size
-    prefix = np.concatenate(([0], np.cumsum(d)))
-    fhat = np.empty(n)
-    for i in range(n):
-        best = -math.inf
-        for h in range(i + 1):
-            worst = math.inf
-            for k in range(i, n):
-                mean = (prefix[k + 1] - prefix[h]) / (k - h + 1)
-                if mean < worst:
-                    worst = mean
-            if worst > best:
-                best = worst
-        fhat[i] = best
-    return NpmleFit(fhat=fhat)
 
 
 def npmle_pava(deltas) -> NpmleFit:
@@ -171,8 +146,3 @@ def inconsistency_probe(
     counts = map_replication_chunks(_probe_chunk, (spec, n, seed), reps, workers)
     return sum(counts) / reps
 
-
-def fit_sorted(sample: CurrentStatusSample) -> NpmleFit:
-    """Sort a raw sample and fit; convenience wrapper for callers holding
-    unsorted records."""
-    return npmle_pava(sort_with_concomitants(sample).delta)

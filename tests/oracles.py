@@ -2,8 +2,9 @@
 
 Everything here recomputes expected values by a route different from the
 package code: adaptive quadrature for moments, golden-section search for
-argmins, and an exact dynamic program (plus a brute enumerator) for
-grid-constrained likelihood maxima.
+argmins, an exact dynamic program (plus a brute enumerator) for
+grid-constrained likelihood maxima, and the literal max-min formula for the
+shape-constrained fit.
 """
 
 import itertools
@@ -13,6 +14,33 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
+
+from curest.npmle import NpmleFit, _as_indicator
+
+
+def maxmin_brute(deltas) -> NpmleFit:
+    """Literal max-min evaluation, cubic time; the reference oracle.
+
+    Window means are formed as integer sum over integer count, the same
+    single float division the pooled pass performs, so the two routes agree
+    bit for bit, not just within rounding.
+    """
+    d = _as_indicator(deltas)
+    n = d.size
+    prefix = np.concatenate(([0], np.cumsum(d)))
+    fhat = np.empty(n)
+    for i in range(n):
+        best = -math.inf
+        for h in range(i + 1):
+            worst = math.inf
+            for k in range(i, n):
+                mean = (prefix[k + 1] - prefix[h]) / (k - h + 1)
+                if mean < worst:
+                    worst = mean
+            if worst > best:
+                best = worst
+        fhat[i] = best
+    return NpmleFit(fhat=fhat)
 
 
 def event_indicator_mean(p: float, event_rate: float, inspect_rate: float) -> float:

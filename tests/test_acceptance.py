@@ -34,7 +34,6 @@ from curest import (
     inconsistency_probe,
     ks_distance,
     log_lik,
-    maxmin_brute,
     npmle_pava,
     profile_cure_loglik,
     read_csv,
@@ -50,7 +49,7 @@ from curest import (
     z_stats,
 )
 
-from oracles import golden_argmin_hp, grid_loglik_max_dp, random_feasible_vector
+from oracles import golden_argmin_hp, grid_loglik_max_dp, maxmin_brute, random_feasible_vector
 
 DESIGN = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
 HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)

@@ -327,6 +327,37 @@ def test_mc_flag_validation(tmp_path):
     assert res.returncode == 2 and "--p" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("simulate", "--f-rate", "nan"),
+        ("simulate", "--f-rate", "inf"),
+        ("mc", "--g-rate", "nan"),
+        ("mc", "--cutoff-x", "inf"),
+        ("mc", "--cutoff-x", "nan"),
+        ("estimate", "--f-rate", "nan"),
+    ],
+)
+def test_nonfinite_parameters_are_usage_errors(tmp_path, command, flag, value):
+    data = tmp_path / "toy.csv"
+    write_toy(data, [(1, 1.0), (0, 2.0), (1, 3.0)])
+    flags = {"--p": "0.3", "--f-rate": "2", "--g-rate": "1"}
+    if command == "simulate":
+        flags.update({"--n": "10", "--out": str(tmp_path / "x.csv")})
+    elif command == "mc":
+        flags.update({
+            "--n": "10", "--reps": "1", "--cutoff": "fixed-x", "--cutoff-x": "1",
+            "--threads": "1", "--out": str(tmp_path / "x.csv"),
+        })
+    else:
+        flags.update({"--data": str(data), "--method": "theoretical-exp"})
+    flags[flag] = value
+    res = run_cli(command, *(item for pair in flags.items() for item in pair))
+    assert res.returncode == 2, res.stderr
+    # the usage line lists every flag, so look for the name in the message
+    assert flag in res.stderr.splitlines()[-1]
+
+
 def test_thinning_csv_and_limits(tmp_path):
     out = tmp_path / "thin.csv"
     res = run_cli(
@@ -381,3 +412,10 @@ def test_missing_input_file_is_runtime_error(tmp_path):
     res = run_cli("trace", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 3
     assert "error:" in res.stderr
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = "import sys, curest.cli; print('scipy.stats' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -16,7 +16,8 @@ from curest import (
     cv_m1_curve,
     cv_m2_curve,
     estimate_cure,
-    fit_sorted,
+    gumbel_norming_exponential,
+    npmle_pava,
     plug_ins,
     select_cutoff,
     simulate,
@@ -73,7 +74,7 @@ def test_trace_running_max_dominates_and_matches_fit_terminal():
         assert np.all(tr.p2 >= tr.p1)
         assert np.all(np.diff(tr.p2) >= 0.0)
         # terminal running max is the shape-constrained fit's last value
-        assert tr.p2[-1] == fit_sorted(sample).fhat[-1]
+        assert tr.p2[-1] == npmle_pava(ss.delta).fhat[-1]
 
 
 def test_rank_invariance_of_trace_and_m2():
@@ -128,7 +129,7 @@ def test_estimate_ordering_property():
 
 
 def test_plug_ins_hand_values():
-    pi = plug_ins(sorted_toy([1, 0, 1]))
+    pi = plug_ins(trace(sorted_toy([1, 0, 1])))
     assert pi.delta_bar == pytest.approx(2 / 3, abs=1e-15)
     assert pi.p2_bar == pytest.approx(7 / 9, abs=1e-15)
     assert pi.alpha_hat == pytest.approx(6.0, abs=1e-12)
@@ -136,17 +137,32 @@ def test_plug_ins_hand_values():
 
 
 def test_plug_ins_degenerate():
-    pi = plug_ins(sorted_toy([0, 0, 0]))
+    pi = plug_ins(trace(sorted_toy([0, 0, 0])))
     assert pi.delta_bar == 0.0 and pi.p2_bar == 0.0
     assert not pi.valid and math.isnan(pi.alpha_hat)
 
 
 def test_plug_ins_tie_groups_weighted_by_size():
     # tied records each contribute their group's p2 value once
-    pi = plug_ins(sorted_toy([1, 0, 1, 1], ys=[1.0, 2.0, 2.0, 3.0]))
     tr = trace(sorted_toy([1, 0, 1, 1], ys=[1.0, 2.0, 2.0, 3.0]))
+    pi = plug_ins(tr)
     expect = (tr.p2[0] * 1 + tr.p2[1] * 2 + tr.p2[2] * 1) / 4
     assert pi.p2_bar == pytest.approx(float(expect), abs=1e-15)
+
+
+def test_plug_ins_from_trace_equal_record_level_formulas_bitwise():
+    # reference: the overall mean over records, and p2 weighted by group
+    # sizes taken from the opening indices
+    rng = np.random.default_rng(11)
+    for k in range(300):
+        n = int(rng.integers(1, 60))
+        ys = rng.integers(0, 8, n).astype(float) if k % 2 else rng.random(n)
+        ss = sorted_toy(rng.integers(0, 2, n), ys=ys)
+        tr = trace(ss)
+        pi = plug_ins(tr)
+        sizes = np.diff(np.append(tr.index - 1, ss.n))
+        assert pi.delta_bar == float(np.mean(ss.delta))
+        assert pi.p2_bar == float(np.sum(tr.p2 * sizes) / ss.n)
 
 
 def test_population_tail_exponent_identity():
@@ -202,8 +218,8 @@ def test_m2_bias_is_squared_centering():
     deltas = rng.integers(0, 2, size=40)
     ss = sorted_toy(deltas)
     curve = cv_m2_curve(ss)
-    pi = plug_ins(ss)
     tr = trace(ss)
+    pi = plug_ins(tr)
     assert np.allclose(curve.bias_sq, (tr.p2 - pi.p2_bar) ** 2, atol=1e-15)
 
 
@@ -348,3 +364,20 @@ def test_estimate_at_fixed_choice_object():
     choice = CutoffChoice(method="fixed-index", index=3, threshold=3.0, guard=1)
     est = estimate_cure(tr, choice)
     assert est.index == 3 and est.tail_count == 3
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: theoretical_mn(0.5, n=100, p=0.3, event_rate=r, inspect_rate=1.0),
+        lambda r: theoretical_mn(0.5, n=100, p=0.3, event_rate=2.0, inspect_rate=r),
+        lambda r: theoretical_cutoff_exponential(100, 0.3, r, 1.0),
+        lambda r: theoretical_cutoff_exponential(100, 0.3, 2.0, r),
+        lambda r: gumbel_norming_exponential(100, r),
+    ],
+    ids=["mn-event", "mn-inspect", "cutoff-event", "cutoff-inspect", "gumbel"],
+)
+def test_exponential_closed_forms_reject_bad_rates(call, rate):
+    with pytest.raises(ValueError, match="rate"):
+        call(rate)

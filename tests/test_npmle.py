@@ -10,14 +10,11 @@ from curest import (
     CurrentStatusSample,
     Exponential,
     MixtureSpec,
-    fit_sorted,
     inconsistency_probe,
     log_lik,
-    maxmin_brute,
     npmle_cure_argmax_interval,
     npmle_pava,
     profile_cure_loglik,
-    simulate,
     sort_with_concomitants,
     trace,
 )
@@ -25,6 +22,7 @@ from curest import (
 from oracles import (
     grid_loglik_max_brute,
     grid_loglik_max_dp,
+    maxmin_brute,
     random_feasible_vector,
     top_order_statistic_cdf_mean,
 )
@@ -219,10 +217,3 @@ def test_inconsistency_probe_worker_count_is_invisible():
         spec, 50, 60, seed=3, workers=2
     )
 
-
-def test_fit_sorted_matches_manual_pipeline():
-    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    sample = simulate(spec, 80, seed=6)
-    via_wrapper = fit_sorted(sample).fhat
-    via_steps = npmle_pava(sort_with_concomitants(sample).delta).fhat
-    assert np.array_equal(via_wrapper, via_steps)
