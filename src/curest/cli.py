@@ -60,6 +60,18 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _write_table(path: str, header: str, columns) -> None:
+    """Write a CSV with one row per entry of the array columns, every cell
+    through ``_fmt``; a column given as None (never the first) has empty cells."""
+    n = len(columns[0])
+    # Python numbers from tolist() format faster than numpy scalars.
+    cells = [[None] * n if col is None else col.tolist() for col in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in zip(*cells):
+            fh.write(",".join("" if cell is None else _fmt(cell) for cell in row) + "\n")
+
+
 def _checked(args, flag: str, build, *params):
     """Call a validating library constructor or function; its ValueError
     becomes a usage error (exit 2) naming the flag that supplied the value."""
@@ -86,10 +98,7 @@ def cmd_simulate(args) -> int:
 def cmd_trace(args) -> int:
     ss = sort_with_concomitants(read_csv(args.data))
     tr = trace(ss)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,y,p1,p2\n")
-        for i, y, p1, p2 in zip(tr.index, tr.y, tr.p1, tr.p2):
-            fh.write(f"{int(i)},{_fmt(y)},{_fmt(p1)},{_fmt(p2)}\n")
+    _write_table(args.out, "index,y,p1,p2", (tr.index, tr.y, tr.p1, tr.p2))
     print(f"n={tr.n} rows={tr.index.size} final_p2={tr.p2[-1]:.6g}")
     return 0
 
@@ -102,19 +111,13 @@ def cmd_cv(args) -> int:
     except ValueError as exc:
         m1 = None
         print(f"warning: m1 objective unavailable: {exc}", file=sys.stderr)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,y,m1_var,m1_bias2,m1,m2_var,m2_bias2,m2\n")
-        for row in range(m2.index.size):
-            if m1 is not None:
-                m1_cells = (
-                    f"{_fmt(m1.variance[row])},{_fmt(m1.bias_sq[row])},{_fmt(m1.objective[row])}"
-                )
-            else:
-                m1_cells = ",,"
-            fh.write(
-                f"{int(m2.index[row])},{_fmt(m2.y[row])},{m1_cells},"
-                f"{_fmt(m2.variance[row])},{_fmt(m2.bias_sq[row])},{_fmt(m2.objective[row])}\n"
-            )
+    tr = m2.trace
+    m1_columns = (m1.variance, m1.bias_sq, m1.objective) if m1 is not None else (None,) * 3
+    _write_table(
+        args.out,
+        "index,y,m1_var,m1_bias2,m1,m2_var,m2_bias2,m2",
+        (tr.index, tr.y, *m1_columns, m2.variance, m2.bias_sq, m2.objective),
+    )
     def report(flavor, curve):
         if curve is None:
             print(f"{flavor}: unavailable (alpha_hat invalid)")
@@ -148,19 +151,20 @@ def cmd_estimate(args) -> int:
         spec = _mixture(args)
 
     ss = sort_with_concomitants(read_csv(args.data))
-    tr = trace(ss)
     guard = args.guard if args.guard is not None else (5 if args.method.startswith("cv-") else 1)
 
-    if args.method == "cv-m1":
-        choice = select_cutoff(cv_m1_curve(ss), guard=guard)
-    elif args.method == "cv-m2":
-        choice = select_cutoff(cv_m2_curve(ss), guard=guard)
-    elif args.method == "fixed-index":
+    if args.method.startswith("cv-"):
+        curve = (cv_m1_curve if args.method == "cv-m1" else cv_m2_curve)(ss)
+        tr = curve.trace
+        choice = select_cutoff(curve, guard=guard)
+    else:
+        tr = trace(ss)
+    if args.method == "fixed-index":
         choice = choice_at_index(tr, args.index, method="fixed-index", guard=guard)
     elif args.method == "fixed-quantile":
         pos = min(tr.n, max(1, math.ceil(args.quantile * tr.n)))
         choice = choice_at_index(tr, pos, method="fixed-quantile", guard=guard)
-    else:  # theoretical-exp
+    elif args.method == "theoretical-exp":
         print(
             "warning: theoretical-exp uses the oracle design parameters "
             "(--p/--f-rate/--g-rate), not the data",
@@ -217,10 +221,7 @@ def cmd_mc(args) -> int:
         args, "--p", McConfig, spec, args.n, args.reps, args.seed, rule, args.studentization
     )
     res = run_mc(config, workers=args.threads)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rep,z1,z2\n")
-        for rep, z1, z2 in zip(res.rep_index, res.z1, res.z2):
-            fh.write(f"{int(rep)},{_fmt(z1)},{_fmt(z2)}\n")
+    _write_table(args.out, "rep,z1,z2", (res.rep_index, res.z1, res.z2))
     print(
         f"reps={config.reps} retained={res.retained} skipped={res.skipped} "
         f"nonfinite={res.nonfinite}"
@@ -249,18 +250,14 @@ def cmd_thinning(args) -> int:
     stats = thinning_check(
         spec, args.n, args.target_mean, args.reps, args.seed, workers=args.threads
     )
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            "target_mean,threshold,mean_n1,mean_n0,"
-            "var_over_mean_n1,var_over_mean_n0,corr_n1_n0\n"
-        )
-        for k in range(stats.target_mean.size):
-            fh.write(
-                f"{_fmt(stats.target_mean[k])},{_fmt(stats.threshold[k])},"
-                f"{_fmt(stats.mean_n1[k])},{_fmt(stats.mean_n0[k])},"
-                f"{_fmt(stats.var_over_mean_n1[k])},{_fmt(stats.var_over_mean_n0[k])},"
-                f"{_fmt(stats.corr[k])}\n"
-            )
+    _write_table(
+        args.out,
+        "target_mean,threshold,mean_n1,mean_n0,var_over_mean_n1,var_over_mean_n0,corr_n1_n0",
+        (
+            stats.target_mean, stats.threshold, stats.mean_n1, stats.mean_n0,
+            stats.var_over_mean_n1, stats.var_over_mean_n0, stats.corr,
+        ),
+    )
     for k in range(stats.target_mean.size):
         print(
             f"target={stats.target_mean[k]:g} mean_n1={stats.mean_n1[k]:.6g} "
@@ -269,15 +266,23 @@ def cmd_thinning(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """argparse type of the count flags: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _integer_at_least(low: int):
+    """argparse type accepting an integer of at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_count = _integer_at_least(1)
+_seed = _integer_at_least(0)
 
 
 def _available_cpus() -> int:
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="draw a dataset and write delta,y CSV")
     _add_mixture_flags(p_sim)
     p_sim.add_argument("--n", type=_count, required=True, help="sample size")
-    p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
+    p_sim.add_argument("--seed", type=_seed, default=0, help="RNG seed")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mixture_flags(p_mc)
     p_mc.add_argument("--n", type=_count, required=True, help="sample size per replication")
     p_mc.add_argument("--reps", type=_count, required=True, help="number of replications")
-    p_mc.add_argument("--seed", type=int, default=0, help="base seed; replication k uses seed+k")
+    p_mc.add_argument("--seed", type=_seed, default=0, help="base seed; replication k uses seed+k")
     p_mc.add_argument(
         "--cutoff",
         choices=("optimal", "undersmoothed", "fixed-x", "fixed-tail"),
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mixture_flags(p_th)
     p_th.add_argument("--n", type=_count, required=True, help="sample size per replication")
     p_th.add_argument("--reps", type=_count, required=True, help="number of replications")
-    p_th.add_argument("--seed", type=int, default=0, help="base seed; replication k uses seed+k")
+    p_th.add_argument("--seed", type=_seed, default=0, help="base seed; replication k uses seed+k")
     p_th.add_argument(
         "--target-mean",
         type=float,

@@ -4,9 +4,11 @@ For a threshold x, the tail average ``p1(x)`` is the fraction of indicators
 equal to 1 among records inspected at or after x; it estimates the event
 fraction ``1 - p`` once x is large enough that almost every uncured subject
 inspected there has already had its event.  Its running maximum over
-thresholds from the left, ``p2(x)``, is never smaller and at the largest
-inspection time coincides with the shape-constrained MLE's last fitted
-value.  Cure estimates are one minus these quantities at a chosen cut-off.
+thresholds from the left, ``p2(x)``, is never smaller.  Without tied
+inspection times, p2 at the largest one equals the shape-constrained MLE's
+last fitted value; with ties the two can differ, because ``npmle_pava``
+fits tied records one by one in their stored order while p2 pools each tie
+group.  Cure estimates are one minus these quantities at a chosen cut-off.
 
 Choosing the cut-off trades variance (small tails) against bias (early
 thresholds see uncured subjects whose events have not happened yet).  Two
@@ -61,12 +63,11 @@ class PlugIns:
 
 @dataclass(frozen=True)
 class CvCurve:
-    """A variance-plus-squared-bias objective evaluated at each threshold."""
+    """A variance-plus-squared-bias objective evaluated at each threshold of
+    ``trace``, the trace it was built from."""
 
     flavor: str
-    index: np.ndarray
-    y: np.ndarray
-    tail_count: np.ndarray
+    trace: EstimatorTrace
     variance: np.ndarray
     bias_sq: np.ndarray
     objective: np.ndarray
@@ -186,6 +187,13 @@ def _variance_term(tr: EstimatorTrace, variance_stat: str) -> np.ndarray:
     return v * (1.0 - v) / tr.tail_count
 
 
+def _cv_curve(
+    flavor: str, tr: EstimatorTrace, pi: PlugIns, variance_stat: str, bias_sq: np.ndarray
+) -> CvCurve:
+    variance = _variance_term(tr, variance_stat)
+    return CvCurve(flavor, tr, variance, bias_sq, variance + bias_sq, pi)
+
+
 def cv_m1_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
     """Estimated MSE profile with a parametric tail-decay bias term.
 
@@ -201,18 +209,9 @@ def cv_m1_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
             "alpha_hat is undefined (p2_bar <= delta_bar); "
             "the m2 objective does not need it"
         )
-    variance = _variance_term(tr, variance_stat)
     gap = pi.p2_bar - pi.delta_bar
-    bias_sq = gap * gap * (tr.tail_count / tr.n) ** (2.0 * pi.alpha_hat)
-    return CvCurve(
-        flavor="m1",
-        index=tr.index,
-        y=tr.y,
-        tail_count=tr.tail_count,
-        variance=variance,
-        bias_sq=bias_sq,
-        objective=variance + bias_sq,
-        plug_ins=pi,
+    return _cv_curve(
+        "m1", tr, pi, variance_stat, gap * gap * (tr.tail_count / tr.n) ** (2.0 * pi.alpha_hat)
     )
 
 
@@ -224,18 +223,8 @@ def cv_m2_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
     """
     tr = trace(ss)
     pi = plug_ins(tr)
-    variance = _variance_term(tr, variance_stat)
     centered = tr.p2 - pi.p2_bar
-    return CvCurve(
-        flavor="m2",
-        index=tr.index,
-        y=tr.y,
-        tail_count=tr.tail_count,
-        variance=variance,
-        bias_sq=centered * centered,
-        objective=variance + centered * centered,
-        plug_ins=pi,
-    )
+    return _cv_curve("m2", tr, pi, variance_stat, centered * centered)
 
 
 def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
@@ -255,7 +244,8 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
     """
     if guard < 1:
         raise ValueError("guard must be at least 1")
-    ok = curve.tail_count >= guard
+    tr = curve.trace
+    ok = tr.tail_count >= guard
     if not np.any(ok):
         raise ValueError(f"no thresholds have tail count >= {guard}")
     usable = ok & (curve.variance > 0.0)
@@ -268,8 +258,8 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
     best = candidates[int(np.argmin(curve.objective[candidates]))]
     return CutoffChoice(
         method=f"cv-{curve.flavor}",
-        index=int(curve.index[best]),
-        threshold=float(curve.y[best]),
+        index=int(tr.index[best]),
+        threshold=float(tr.y[best]),
         guard=guard,
     )
 

@@ -10,7 +10,7 @@ quantity the rest of the package estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -155,6 +155,22 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked_records(delta, y) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen copies of a sample's indicators and inspection times, checked
+    as current-status records."""
+    raw = np.asarray(delta)
+    y = np.array(y, dtype=float, copy=True)
+    if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
+        raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
+    # Checked before the int8 cast, which would truncate 0.5 to 0.
+    if not np.all((raw == 0) | (raw == 1)):
+        raise ValueError("delta entries must be 0 or 1")
+    delta = raw.astype(np.int8)
+    if not np.all(np.isfinite(y)) or np.any(y < 0):
+        raise ValueError("inspection times must be finite and nonnegative")
+    return _freeze(delta), _freeze(y)
+
+
 @dataclass(frozen=True)
 class CurrentStatusSample:
     """Observed records: delta[i] = 1 when the event preceded inspection y[i]."""
@@ -164,18 +180,9 @@ class CurrentStatusSample:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        delta = np.array(self.delta, dtype=np.int8, copy=True)
-        y = np.array(self.y, dtype=float, copy=True)
-        if delta.ndim != 1 or y.shape != delta.shape:
-            raise ValueError("delta and y must be 1-d arrays of equal length")
-        if delta.size == 0:
-            raise ValueError("empty sample")
-        if not np.all((delta == 0) | (delta == 1)):
-            raise ValueError("delta entries must be 0 or 1")
-        if not np.all(np.isfinite(y)) or np.any(y < 0):
-            raise ValueError("inspection times must be finite and nonnegative")
-        object.__setattr__(self, "delta", _freeze(delta))
-        object.__setattr__(self, "y", _freeze(y))
+        delta, y = _checked_records(self.delta, self.y)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "y", y)
 
     @property
     def n(self) -> int:
@@ -186,29 +193,24 @@ class CurrentStatusSample:
 class SortedSample:
     """Sample sorted by inspection time, indicators carried along.
 
-    ``group_start`` holds the 0-based position opening each run of tied
-    inspection times.  Downstream statistics are evaluated once per distinct
-    threshold, so tied observations always land on the same side of any
-    cut-off.
+    ``group_start`` is derived from ``y``: the 0-based position opening each
+    run of tied inspection times.  Downstream statistics are evaluated once
+    per distinct threshold, so tied observations always land on the same
+    side of any cut-off.
     """
 
     y: np.ndarray
     delta: np.ndarray
-    group_start: np.ndarray
+    group_start: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        y = np.array(self.y, dtype=float, copy=True)
-        delta = np.array(self.delta, dtype=np.int8, copy=True)
-        gs = np.array(self.group_start, dtype=np.int64, copy=True)
-        if y.ndim != 1 or delta.shape != y.shape or y.size == 0:
-            raise ValueError("y and delta must be 1-d arrays of equal nonzero length")
-        if np.any(np.diff(y) < 0):
+        delta, y = _checked_records(self.delta, self.y)
+        step = np.diff(y)
+        if np.any(step < 0):
             raise ValueError("y must be sorted ascending")
-        if gs.size == 0 or gs[0] != 0 or np.any(np.diff(gs) <= 0) or gs[-1] >= y.size:
-            raise ValueError("group_start must begin at 0 and increase within range")
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "delta", _freeze(delta))
-        object.__setattr__(self, "group_start", _freeze(gs))
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "group_start", _freeze(np.append(0, np.flatnonzero(step) + 1)))
 
     @property
     def n(self) -> int:
@@ -239,12 +241,7 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
 def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:
     """Stable sort by inspection time, keeping each indicator with its y."""
     order = np.argsort(sample.y, kind="stable")
-    y = sample.y[order]
-    delta = sample.delta[order]
-    new_group = np.empty(y.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = y[1:] != y[:-1]
-    return SortedSample(y=y, delta=delta, group_start=np.flatnonzero(new_group))
+    return SortedSample(y=sample.y[order], delta=sample.delta[order])
 
 
 def write_csv(sample: CurrentStatusSample, path) -> None:

@@ -245,7 +245,7 @@ def bernoulli_tail_z2(cfg):
         ss = sort_with_concomitants(simulate(cfg.spec, cfg.n, cfg.seed + k))
         rng = np.random.default_rng(cfg.seed + k).spawn(1)[0]
         delta = (rng.random(cfg.n) < 1.0 - p).astype(np.int8)
-        bernoulli = SortedSample(y=ss.y, delta=delta, group_start=ss.group_start)
+        bernoulli = SortedSample(y=ss.y, delta=delta)
         z2[k] = z_stats(bernoulli, cfg.cutoff.x, p_true=p, studentization=cfg.studentization).z2
     return z2
 

@@ -9,7 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from curest import read_csv, simulate, sort_with_concomitants, z_stats
+from curest import cli, estimators
+from curest import read_csv, simulate, sort_with_concomitants, write_csv, z_stats
 from curest import Exponential, MixtureSpec
 
 JSON_KEYS = {
@@ -356,6 +357,38 @@ def test_nonfinite_parameters_are_usage_errors(tmp_path, command, flag, value):
     assert res.returncode == 2, res.stderr
     # the usage line lists every flag, so look for the name in the message
     assert flag in res.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "mc", "thinning"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    flags = [
+        "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "50",
+        "--seed", "-1", "--out", str(tmp_path / "x.csv"),
+    ]
+    if command != "simulate":
+        flags += ["--reps", "1", "--threads", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *flags])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("method", ["cv-m1", "cv-m2"])
+def test_estimate_cv_builds_the_trace_once(tmp_path, monkeypatch, method):
+    data = tmp_path / "sim.csv"
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    write_csv(simulate(spec, 400, seed=5), data)
+    build = estimators.trace
+    builds = []
+
+    def counted(ss):
+        builds.append(ss)
+        return build(ss)
+
+    monkeypatch.setattr(estimators, "trace", counted)
+    monkeypatch.setattr(cli, "trace", counted)
+    assert cli.main(["estimate", "--data", str(data), "--method", method]) == 0
+    assert len(builds) == 1
 
 
 def test_thinning_csv_and_limits(tmp_path):

@@ -9,6 +9,7 @@ from curest import (
     CurrentStatusSample,
     CutoffChoice,
     CvCurve,
+    EstimatorTrace,
     Exponential,
     MixtureSpec,
     PlugIns,
@@ -229,11 +230,13 @@ def make_curve(tail_count, variance, bias_sq):
     bias_sq = np.asarray(bias_sq, dtype=float)
     n = int(tail_count[0])
     index = n + 1 - tail_count
+    p1 = np.full(index.size, 0.5)
+    tr = EstimatorTrace(
+        n=n, index=index, y=np.arange(1.0, index.size + 1.0), tail_count=tail_count, p1=p1, p2=p1
+    )
     return CvCurve(
         flavor="m2",
-        index=index,
-        y=np.arange(1.0, index.size + 1.0),
-        tail_count=tail_count,
+        trace=tr,
         variance=variance,
         bias_sq=bias_sq,
         objective=variance + bias_sq,
@@ -259,7 +262,8 @@ def test_select_guard_excludes_extreme_minimum():
     curve = make_curve(np.arange(10, 0, -1), variance, bias)
     pick = select_cutoff(curve, guard=5)
     assert pick.index == 5
-    assert int(curve.tail_count[np.flatnonzero(curve.index == pick.index)[0]]) >= 5
+    tr = curve.trace
+    assert int(tr.tail_count[np.flatnonzero(tr.index == pick.index)[0]]) >= 5
 
 
 def test_select_tie_breaks_toward_smaller_index():

@@ -10,6 +10,7 @@ from curest import (
     CurrentStatusSample,
     Exponential,
     MixtureSpec,
+    SortedSample,
     TabulatedQuantile,
     read_csv,
     simulate,
@@ -93,6 +94,35 @@ def test_sample_validation():
         CurrentStatusSample(delta=np.array([0, 1]), y=np.array([1.0, math.inf]))
     with pytest.raises(ValueError):
         CurrentStatusSample(delta=np.array([], dtype=int), y=np.array([]))
+    with pytest.raises(ValueError):  # an int8 cast alone would read 0.5 as 0
+        CurrentStatusSample(delta=np.array([0.5, 1.0]), y=np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "delta, y",
+    [
+        ([2, 5], [1.0, 2.0]),
+        ([0.5, 1], [1.0, 2.0]),
+        ([0, 1], [1.0, math.inf]),
+        ([0, 1], [1.0, math.nan]),
+        ([0, 1], [-1.0, 2.0]),
+        ([0, 1, 1], [1.0, 2.0]),
+        ([], []),
+    ],
+)
+def test_sorted_sample_checks_records(delta, y):
+    with pytest.raises(ValueError):
+        SortedSample(delta=np.asarray(delta), y=np.asarray(y, dtype=float))
+
+
+def test_sorted_sample_derives_tie_groups_from_y():
+    ss = SortedSample(y=[1.0, 1.0, 2.0], delta=[1, 0, 1])
+    assert np.array_equal(ss.group_start, [0, 2])
+    assert not ss.group_start.flags.writeable
+    with pytest.raises(TypeError):
+        SortedSample(y=[1.0, 1.0, 2.0], delta=[1, 0, 1], group_start=[0, 1, 2])
+    with pytest.raises(ValueError, match="sorted"):
+        SortedSample(y=[2.0, 1.0], delta=[0, 1])
 
 
 def test_simulate_all_cured_means_no_events():

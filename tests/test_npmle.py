@@ -10,6 +10,7 @@ from curest import (
     CurrentStatusSample,
     Exponential,
     MixtureSpec,
+    SortedSample,
     inconsistency_probe,
     log_lik,
     npmle_cure_argmax_interval,
@@ -217,3 +218,17 @@ def test_inconsistency_probe_worker_count_is_invisible():
         spec, 50, 60, seed=3, workers=2
     )
 
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="npmle_pava fits records one by one, so the order of records inside "
+    "a tie group moves the fit; the tail averages pool each group",
+)
+def test_npmle_does_not_depend_on_record_order_within_ties():
+    y = [1.0, 2.0, 2.0]
+    his = [
+        npmle_cure_argmax_interval(npmle_pava(SortedSample(y=y, delta=delta).delta)).hi
+        for delta in ([1, 0, 1], [1, 1, 0])
+    ]
+    assert his[0] == his[1]  # measured: 0.0 and 1/3
