@@ -12,6 +12,7 @@ from .asymptotics import (
     McConfig,
     McResult,
     NormingConstants,
+    ThinningConfig,
     ThinningStats,
     ZStatPair,
     gumbel_norming_exponential,
@@ -82,6 +83,7 @@ __all__ = [
     "PlugIns",
     "SortedSample",
     "TabulatedQuantile",
+    "ThinningConfig",
     "ThinningStats",
     "ZStatPair",
     "choice_at_index",

@@ -1,13 +1,16 @@
-"""Deterministic fan-out of replicated simulations over worker processes.
+"""Seeded replications, fanned out over worker processes.
 
-Replication k always derives its seed as ``seed + k``, so per-replication
-results never depend on how replications are split across workers; callers
-concatenate chunk results in submission order to stay layout independent.
+Replication k of a run with base seed ``seed`` draws its sample with seed
+``seed + k``; ``replicate`` is the only place that derives it.  Replications
+run in contiguous chunks and are joined in replication order, so results
+never depend on the worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+
+from .model import simulate
 
 
 def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
@@ -20,11 +23,8 @@ def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
 
 
 def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
-    """Run ``fn(*args, start, stop)`` over chunked replication spans.
-
-    Results come back in span order regardless of worker count, so any
-    order-sensitive aggregation downstream sees a fixed layout.
-    """
+    """Run ``fn(*args, start, stop)`` over chunked replication spans; the
+    results come back in span order for any worker count."""
     workers = max(1, int(workers))
     spans = chunk_spans(reps, workers)
     if workers == 1 or len(spans) == 1:
@@ -32,3 +32,15 @@ def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *args, a, b) for a, b in spans]
         return [f.result() for f in futures]
+
+
+def _replicate_span(stat, spec, n: int, seed: int, start: int, stop: int) -> list:
+    return [stat(simulate(spec, n, seed + k)) for k in range(start, stop)]
+
+
+def replicate(stat, spec, n: int, reps: int, seed: int, workers: int = 1) -> list:
+    """``[stat(simulate(spec, n, seed + k)) for k in range(reps)]`` for any
+    worker count.  With more than one worker, ``stat`` must pickle: a
+    module-level function, or one bound with ``functools.partial``."""
+    chunks = map_replication_chunks(_replicate_span, (stat, spec, n, seed), reps, workers)
+    return [value for chunk in chunks for value in chunk]

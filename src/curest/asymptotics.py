@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import erf
 
-from ._parallel import map_replication_chunks
+from ._parallel import replicate
 from .estimators import theoretical_cutoff_exponential, trace
-from .model import Exponential, MixtureSpec, SortedSample, simulate, sort_with_concomitants
+from .model import Exponential, MixtureSpec, SortedSample, sort_with_concomitants
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -243,23 +244,15 @@ class McResult:
         return self.rep_index.size
 
 
-def _mc_chunk(config: McConfig, start: int, stop: int):
-    reps_kept: list[int] = []
-    z1s: list[float] = []
-    z2s: list[float] = []
-    skipped = 0
-    for rep in range(start, stop):
-        sample = simulate(config.spec, config.n, config.seed + rep)
-        ss = sort_with_concomitants(sample)
-        x = config.cutoff.resolve(config.spec, config.n, ss)
-        if x > ss.y[-1]:
-            skipped += 1
-            continue
-        zz = z_stats(ss, x, p_true=config.spec.p, studentization=config.studentization)
-        reps_kept.append(rep)
-        z1s.append(zz.z1)
-        z2s.append(zz.z2)
-    return reps_kept, z1s, z2s, skipped
+def _mc_stat(config: McConfig, sample) -> tuple[float, float] | None:
+    """(z1, z2) of one sample, or None when its threshold exceeds the
+    largest inspection time."""
+    ss = sort_with_concomitants(sample)
+    x = config.cutoff.resolve(config.spec, config.n, ss)
+    if x > ss.y[-1]:
+        return None
+    zz = z_stats(ss, x, p_true=config.spec.p, studentization=config.studentization)
+    return zz.z1, zz.z2
 
 
 def _moments(values: np.ndarray) -> tuple[float, float]:
@@ -273,17 +266,16 @@ def _moments(values: np.ndarray) -> tuple[float, float]:
 def run_mc(config: McConfig, workers: int = 1) -> McResult:
     """Replicate the studentized tail statistics and summarize them.
 
-    Per-replication seeds are ``seed + k``, so the result is identical for
-    any worker count; chunks are concatenated in replication order before
-    any aggregation.
+    The result is identical for any worker count (see ``replicate``).
     """
-    chunks = map_replication_chunks(_mc_chunk, (config,), config.reps, workers)
-    rep_index = np.asarray(
-        [r for chunk in chunks for r in chunk[0]], dtype=np.int64
+    stats = replicate(
+        partial(_mc_stat, config), config.spec, config.n, config.reps, config.seed, workers
     )
-    z1 = np.asarray([v for chunk in chunks for v in chunk[1]], dtype=float)
-    z2 = np.asarray([v for chunk in chunks for v in chunk[2]], dtype=float)
-    skipped = sum(chunk[3] for chunk in chunks)
+    kept = [k for k, zz in enumerate(stats) if zz is not None]
+    rep_index = np.asarray(kept, dtype=np.int64)
+    z1 = np.asarray([stats[k][0] for k in kept], dtype=float)
+    z2 = np.asarray([stats[k][1] for k in kept], dtype=float)
+    skipped = config.reps - len(kept)
     finite = np.isfinite(z1) & np.isfinite(z2)
     nonfinite = int(z1.size - np.count_nonzero(finite))
     f1, f2 = z1[finite], z2[finite]
@@ -305,6 +297,30 @@ def run_mc(config: McConfig, workers: int = 1) -> McResult:
         ks_normal=ks_normal,
         ks_half_normal=ks_half_normal,
     )
+
+
+@dataclass(frozen=True)
+class ThinningConfig:
+    """Replicated thinning-check description; replication k uses seed
+    ``seed + k``.  Sensible expected tail sizes satisfy 5 <= target << n."""
+
+    spec: MixtureSpec
+    n: int
+    target_means: tuple
+    reps: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if self.reps < 1:
+            raise ValueError("reps must be at least 1")
+        targets = np.asarray(self.target_means, dtype=float)
+        if targets.ndim != 1 or targets.size == 0:
+            raise ValueError("target_means must be a nonempty 1-d sequence")
+        if np.any(~np.isfinite(targets)) or np.any(targets <= 0) or np.any(targets > self.n):
+            raise ValueError("each target mean must satisfy 0 < target <= n")
+        object.__setattr__(self, "target_means", tuple(targets.tolist()))
 
 
 @dataclass(frozen=True)
@@ -330,56 +346,32 @@ class ThinningStats:
     corr: np.ndarray
 
 
-def _thinning_chunk(spec: MixtureSpec, n: int, thresholds, seed: int, start: int, stop: int):
-    xs = np.asarray(thresholds, dtype=float)
-    n1 = np.zeros((stop - start, xs.size), dtype=np.int64)
-    n0 = np.zeros((stop - start, xs.size), dtype=np.int64)
-    for row, rep in enumerate(range(start, stop)):
-        sample = simulate(spec, n, seed + rep)
-        for k, x in enumerate(xs):
-            in_tail = sample.y >= x
-            total = int(np.count_nonzero(in_tail))
-            ones = int(np.count_nonzero(sample.delta[in_tail]))
-            n1[row, k] = ones
-            n0[row, k] = total - ones
-    return n1, n0
+def _tail_split(thresholds: np.ndarray, sample) -> np.ndarray:
+    """Tail records with indicator 1 (row 0) and 0 (row 1) at each threshold."""
+    in_tail = sample.y >= thresholds[:, None]
+    ones = np.count_nonzero(in_tail & (sample.delta == 1), axis=1)
+    return np.stack([ones, np.count_nonzero(in_tail, axis=1) - ones]).astype(np.int64)
 
 
 def _ratio(var: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.where(mean > 0, var / np.where(mean > 0, mean, 1.0), np.nan)
 
 
-def thinning_check(
-    spec: MixtureSpec,
-    n: int,
-    target_means,
-    reps: int,
-    seed: int,
-    workers: int = 1,
-) -> ThinningStats:
+def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
     """Split the tail count by indicator value at thresholds calibrated to
     the requested expected tail sizes.
 
     Threshold k is the inspection quantile 1 - target/n, so the expected
-    tail count there is exactly ``target`` (continuous inspection law).
-    Sensible targets satisfy 5 <= target << n.  Replication r uses seed
-    ``seed + r``.
+    tail count there is exactly ``target`` (continuous inspection law).  The
+    result is identical for any worker count (see ``replicate``).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    targets = np.asarray(target_means, dtype=float)
-    if targets.ndim != 1 or targets.size == 0:
-        raise ValueError("target_means must be a nonempty 1-d sequence")
-    if np.any(~np.isfinite(targets)) or np.any(targets <= 0) or np.any(targets > n):
-        raise ValueError("each target mean must satisfy 0 < target <= n")
-    thresholds = np.asarray(spec.inspection.quantile(1.0 - targets / n), dtype=float)
-    chunks = map_replication_chunks(
-        _thinning_chunk, (spec, n, thresholds, seed), reps, workers
+    n, reps = config.n, config.reps
+    targets = np.asarray(config.target_means, dtype=float)
+    thresholds = np.asarray(config.spec.inspection.quantile(1.0 - targets / n), dtype=float)
+    rows = replicate(
+        partial(_tail_split, thresholds), config.spec, n, reps, config.seed, workers
     )
-    n1 = np.vstack([c[0] for c in chunks])
-    n0 = np.vstack([c[1] for c in chunks])
+    n1, n0 = np.stack(rows, axis=1)
     mean_n1 = n1.mean(axis=0)
     mean_n0 = n0.mean(axis=0)
     var_n1 = n1.var(axis=0, ddof=1) if reps > 1 else np.full(targets.size, np.nan)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 from scipy.special import ndtri
 
-from .asymptotics import CutoffRule, McConfig, run_mc, thinning_check
+from .asymptotics import CutoffRule, McConfig, ThinningConfig, run_mc, thinning_check
 from .estimators import (
     choice_at_index,
     cv_m1_curve,
@@ -242,14 +242,13 @@ def cmd_mc(args) -> int:
 
 def cmd_thinning(args) -> int:
     spec = _mixture(args)
-    # thinning_check owns this range too, but it also runs the replications,
-    # so a guard around it would report their failures as usage errors.
-    for target in args.target_mean:
-        if not (0.0 < target <= args.n):
-            args.parser.error("--target-mean entries must satisfy 0 < target <= n")
-    stats = thinning_check(
-        spec, args.n, args.target_mean, args.reps, args.seed, workers=args.threads
+    # The count flags are checked by argparse, so the only values
+    # ThinningConfig can still reject are the targets.
+    config = _checked(
+        args, "--target-mean", ThinningConfig,
+        spec, args.n, args.target_mean, args.reps, args.seed,
     )
+    stats = thinning_check(config, workers=args.threads)
     _write_table(
         args.out,
         "target_mean,threshold,mean_n1,mean_n0,var_over_mean_n1,var_over_mean_n0,corr_n1_n0",
@@ -301,13 +300,22 @@ def _add_mixture_flags(sub, required: bool = True) -> None:
     )
 
 
+def _add_replication_flags(sub) -> None:
+    sub.add_argument("--n", type=_count, required=True, help="sample size per replication")
+    sub.add_argument("--reps", type=_count, required=True, help="number of replications")
+    sub.add_argument("--seed", type=_seed, default=0, help="base seed; replication k uses seed+k")
+    sub.add_argument(
+        "--threads", type=_count, default=_available_cpus(),
+        help="worker processes (results are independent of this)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="curest",
         description="Cure-fraction estimation from current-status data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    cpus = _available_cpus()
 
     p_sim = sub.add_parser("simulate", help="draw a dataset and write delta,y CSV")
     _add_mixture_flags(p_sim)
@@ -355,9 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="replicated studentized tail statistics")
     _add_mixture_flags(p_mc)
-    p_mc.add_argument("--n", type=_count, required=True, help="sample size per replication")
-    p_mc.add_argument("--reps", type=_count, required=True, help="number of replications")
-    p_mc.add_argument("--seed", type=_seed, default=0, help="base seed; replication k uses seed+k")
+    _add_replication_flags(p_mc)
     p_mc.add_argument(
         "--cutoff",
         choices=("optimal", "undersmoothed", "fixed-x", "fixed-tail"),
@@ -370,19 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument("--out", required=True, help="output CSV path (rep,z1,z2)")
     p_mc.add_argument("--json-summary", help="write machine-readable summary JSON here")
-    p_mc.add_argument(
-        "--threads",
-        type=_count,
-        default=cpus,
-        help="worker processes (results are independent of this)",
-    )
     p_mc.set_defaults(func=cmd_mc)
 
     p_th = sub.add_parser("thinning", help="tail counts split by indicator value")
     _add_mixture_flags(p_th)
-    p_th.add_argument("--n", type=_count, required=True, help="sample size per replication")
-    p_th.add_argument("--reps", type=_count, required=True, help="number of replications")
-    p_th.add_argument("--seed", type=_seed, default=0, help="base seed; replication k uses seed+k")
+    _add_replication_flags(p_th)
     p_th.add_argument(
         "--target-mean",
         type=float,
@@ -391,12 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="expected tail sizes; thresholds are the matching inspection quantiles",
     )
     p_th.add_argument("--out", required=True, help="output CSV path")
-    p_th.add_argument(
-        "--threads",
-        type=_count,
-        default=cpus,
-        help="worker processes (results are independent of this)",
-    )
     p_th.set_defaults(func=cmd_thinning)
 
     for name, sp in sub.choices.items():

@@ -155,6 +155,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _indicators(delta, dtype) -> np.ndarray:
+    """``delta`` cast to ``dtype`` once every entry is checked to be 0 or 1;
+    the check comes first because the cast would truncate 0.5 to 0."""
+    raw = np.asarray(delta)
+    if not np.all((raw == 0) | (raw == 1)):
+        raise ValueError("delta entries must be 0 or 1")
+    return raw.astype(dtype)
+
+
 def _checked_records(delta, y) -> tuple[np.ndarray, np.ndarray]:
     """Frozen copies of a sample's indicators and inspection times, checked
     as current-status records."""
@@ -162,10 +171,7 @@ def _checked_records(delta, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.array(y, dtype=float, copy=True)
     if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
         raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
-    # Checked before the int8 cast, which would truncate 0.5 to 0.
-    if not np.all((raw == 0) | (raw == 1)):
-        raise ValueError("delta entries must be 0 or 1")
-    delta = raw.astype(np.int8)
+    delta = _indicators(raw, np.int8)
     if not np.all(np.isfinite(y)) or np.any(y < 0):
         raise ValueError("inspection times must be finite and nonnegative")
     return _freeze(delta), _freeze(y)
@@ -254,8 +260,9 @@ def write_csv(sample: CurrentStatusSample, path) -> None:
 
 
 def read_csv(path) -> CurrentStatusSample:
-    """Parse a ``delta,y`` file, reporting the line number of any bad row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    """Parse a ``delta,y`` file, reporting the line number of any bad row;
+    a leading UTF-8 byte order mark, as spreadsheets write, is skipped."""
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines or [c.strip() for c in lines[0].split(",")] != ["delta", "y"]:
         raise CsvFormatError(f"{path}: line 1: expected header 'delta,y'")
@@ -268,7 +275,11 @@ def read_csv(path) -> CurrentStatusSample:
         d_raw, y_raw = parts[0].strip(), parts[1].strip()
         if d_raw not in ("0", "1"):
             raise CsvFormatError(f"{path}: line {lineno}: delta must be 0 or 1, got {d_raw!r}")
+        # float() alone also reads "1_0" as 10 and non-ASCII digits ("１２",
+        # "٣"); "inf" and "nan" fail the finiteness check below.
         try:
+            if not y_raw.isascii() or "_" in y_raw:
+                raise ValueError
             t = float(y_raw)
         except ValueError:
             raise CsvFormatError(

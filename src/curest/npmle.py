@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import map_replication_chunks
-from .model import MixtureSpec, simulate, sort_with_concomitants
+from ._parallel import replicate
+from .model import MixtureSpec, _indicators, sort_with_concomitants
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,7 @@ def _as_indicator(deltas) -> np.ndarray:
     d = np.asarray(deltas)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("deltas must be a nonempty 1-d sequence")
-    d = d.astype(np.int64)
-    if not np.all((d == 0) | (d == 1)):
-        raise ValueError("deltas entries must be 0 or 1")
-    return d
+    return _indicators(d, np.int64)
 
 
 def npmle_pava(deltas) -> NpmleFit:
@@ -122,13 +119,9 @@ def npmle_cure_argmax_interval(fit: NpmleFit) -> CureArgmaxInterval:
     return CureArgmaxInterval(lo=0.0, hi=1.0 - float(fit.fhat[-1]))
 
 
-def _probe_chunk(spec: MixtureSpec, n: int, seed: int, start: int, stop: int) -> int:
-    hits = 0
-    for rep in range(start, stop):
-        sample = simulate(spec, n, seed + rep)
-        ss = sort_with_concomitants(sample)
-        hits += int(ss.delta[-1])
-    return hits
+def _top_indicator(sample) -> int:
+    """Indicator of the last record after the stable sort by inspection time."""
+    return int(sort_with_concomitants(sample).delta[-1])
 
 
 def inconsistency_probe(
@@ -139,10 +132,6 @@ def inconsistency_probe(
     That event is exactly {indicator at the largest inspection time is 1};
     when it happens the flat argmax interval for the cure fraction collapses
     to {0}, so this frequency measures how often the plain profile argmax is
-    useless.  Replication k uses seed ``seed + k``.
+    useless.  Replication k uses seed ``seed + k`` (see ``replicate``).
     """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    counts = map_replication_chunks(_probe_chunk, (spec, n, seed), reps, workers)
-    return sum(counts) / reps
-
+    return sum(replicate(_top_indicator, spec, n, reps, seed, workers)) / reps

@@ -43,6 +43,7 @@ from curest import (
     sort_with_concomitants,
     theoretical_cutoff_exponential,
     theoretical_mn,
+    ThinningConfig,
     thinning_check,
     trace,
     write_csv,
@@ -342,7 +343,9 @@ def test_criterion_09_running_max_consistency_at_sqrt_n_tail():
 
 
 def test_criterion_10_tail_count_splitting():
-    st = thinning_check(DESIGN, n=1000, target_means=[20.0], reps=5000, seed=77)
+    st = thinning_check(
+        ThinningConfig(DESIGN, n=1000, target_means=[20.0], reps=5000, seed=77)
+    )
     mean_n1 = float(st.mean_n1[0])
     mean_n0 = float(st.mean_n0[0])
     corr = float(st.corr[0])

@@ -19,6 +19,7 @@ from curest import (
     simulate,
     sort_with_concomitants,
     std_normal_cdf,
+    ThinningConfig,
     thinning_check,
     z_stats,
 )
@@ -243,7 +244,7 @@ def test_ks_against_normal_improves_with_sample_size():
 
 def test_thinning_split_is_exact():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    stats = thinning_check(spec, 400, [10.0, 30.0], reps=25, seed=90)
+    stats = thinning_check(ThinningConfig(spec, 400, [10.0, 30.0], reps=25, seed=90))
     for r in range(25):
         sample = simulate(spec, 400, seed=90 + r)
         for k, x in enumerate(stats.threshold):
@@ -254,22 +255,23 @@ def test_thinning_split_is_exact():
 
 def test_thinning_no_cure_limit():
     spec = MixtureSpec(p=0.0, event=Exponential(2.0), inspection=Exponential(1.0))
-    stats = thinning_check(spec, 1000, [20.0], reps=400, seed=7)
+    stats = thinning_check(ThinningConfig(spec, 1000, [20.0], reps=400, seed=7))
     assert float(stats.mean_n0[0]) / 20.0 <= 0.02
 
 
 def test_thinning_validation():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     with pytest.raises(ValueError):
-        thinning_check(spec, 100, [], reps=5, seed=0)
+        ThinningConfig(spec, 100, [], reps=5, seed=0)
     with pytest.raises(ValueError):
-        thinning_check(spec, 100, [500.0], reps=5, seed=0)
+        ThinningConfig(spec, 100, [500.0], reps=5, seed=0)
     with pytest.raises(ValueError):
-        thinning_check(spec, 100, [10.0], reps=0, seed=0)
+        ThinningConfig(spec, 100, [10.0], reps=0, seed=0)
 
 
 def test_thinning_worker_count_is_invisible():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    t1 = thinning_check(spec, 500, [10.0, 25.0], 40, seed=11, workers=1)
-    t2 = thinning_check(spec, 500, [10.0, 25.0], 40, seed=11, workers=3)
+    config = ThinningConfig(spec, 500, [10.0, 25.0], 40, seed=11)
+    t1 = thinning_check(config, workers=1)
+    t2 = thinning_check(config, workers=3)
     assert np.array_equal(t1.n1, t2.n1) and np.array_equal(t1.n0, t2.n0)

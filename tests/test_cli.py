@@ -417,6 +417,18 @@ def test_thinning_zero_reps_is_usage_error(tmp_path):
     assert "--reps" in res.stderr
 
 
+@pytest.mark.parametrize("target", ["0", "nan", "100.5"])
+def test_thinning_target_mean_is_usage_error(tmp_path, capsys, target):
+    flags = [
+        "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "100", "--reps", "1",
+        "--target-mean", "20", target, "--threads", "1", "--out", str(tmp_path / "x.csv"),
+    ]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["thinning", *flags])
+    assert exc.value.code == 2
+    assert "--target-mean" in capsys.readouterr().err.splitlines()[-1]
+
+
 def test_cli_outputs_reparse_losslessly(tmp_path):
     data = tmp_path / "sim.csv"
     run_cli(

@@ -224,6 +224,22 @@ def test_csv_bad_field_count_names_line(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize("field", ["1_0", "\uff11\uff12", "\u0663", "inf", "nan"])
+def test_csv_y_is_an_ascii_decimal(tmp_path, field):
+    # float() reads "1_0" as 10.0, full-width "12" as 12.0 and Arabic-Indic 3 as 3.0.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"delta,y\n1,0.5\n0,{field}\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="line 3"):
+        read_csv(path)
+
+
+def test_csv_accepts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfdelta,y\n1,0.5\n")
+    sample = read_csv(path)
+    assert np.array_equal(sample.delta, [1]) and np.array_equal(sample.y, [0.5])
+
+
 def test_csv_header_only_is_empty_sample(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("delta,y\n", encoding="utf-8")

@@ -68,6 +68,14 @@ def test_rejects_bad_indicators():
         npmle_pava([])
     with pytest.raises(ValueError):
         npmle_pava([0, 2])
+    for call in (
+        npmle_pava,
+        lambda d: log_lik([0.5, 0.5], d),
+        lambda d: profile_cure_loglik(npmle_pava([0, 1]), d, 0.3),
+    ):
+        # An integer cast alone would read 0.5 as 0 and fit [0, 1].
+        with pytest.raises(ValueError, match="0 or 1"):
+            call([0.5, 1.0])
 
 
 def test_log_lik_hand_values():

@@ -1,4 +1,8 @@
-"""Invariants of the tail averages, checked on generated samples."""
+"""Invariants of the tail averages, the replication loop, the NPMLE and
+the CSV format, checked on generated inputs."""
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -6,13 +10,22 @@ from hypothesis import strategies as st
 
 from curest import (
     CurrentStatusSample,
+    Exponential,
+    MixtureSpec,
     cv_m1_curve,
     cv_m2_curve,
     estimate_cure,
+    npmle_pava,
+    read_csv,
     select_cutoff,
+    simulate,
     sort_with_concomitants,
     trace,
+    write_csv,
 )
+from curest._parallel import chunk_spans, replicate
+
+from oracles import maxmin_brute
 
 # Inspection times drawn mostly from a handful of values, so most samples
 # have ties, and sometimes from a continuum, so some have none.
@@ -21,6 +34,7 @@ inspection_times = st.one_of(
 )
 samples = st.lists(st.tuples(st.integers(0, 1), inspection_times), min_size=1, max_size=60)
 CASES = settings(max_examples=200, deadline=None)
+FEW_CASES = settings(max_examples=100, deadline=None)
 
 
 def sorted_sample(records):
@@ -72,3 +86,54 @@ def test_trace_entries_are_distinct_thresholds_with_dominating_running_max(recor
     assert np.array_equal(tr.tail_count, [np.sum(ss.y >= x) for x in tr.y])
     assert np.all(tr.p2 >= tr.p1)
     assert np.all(np.diff(tr.p2) >= 0)
+
+
+@CASES
+@given(reps=st.integers(1, 500), workers=st.integers(1, 64))
+def test_chunk_spans_split_the_replications_in_order(reps, workers):
+    spans = chunk_spans(reps, workers)
+    assert spans[0][0] == 0 and spans[-1][1] == reps
+    assert all(a < b for a, b in spans)
+    assert all(b == c for (_, b), (c, _) in zip(spans, spans[1:]))
+
+
+@FEW_CASES
+@given(
+    p=st.floats(0.0, 1.0),
+    n=st.integers(1, 30),
+    reps=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+)
+def test_replicate_is_the_seeded_list_comprehension(p, n, reps, seed):
+    spec = MixtureSpec(p=p, event=Exponential(2.0), inspection=Exponential(1.0))
+
+    def stat(sample):
+        return sample.delta.tobytes() + sample.y.tobytes()
+
+    expected = [stat(simulate(spec, n, seed + k)) for k in range(reps)]
+    assert replicate(stat, spec, n, reps, seed, workers=1) == expected
+
+
+@CASES
+@given(deltas=st.lists(st.integers(0, 1), min_size=1, max_size=12))
+def test_pava_equals_the_max_min_formula(deltas):
+    assert npmle_pava(deltas).fhat.tobytes() == maxmin_brute(deltas).fhat.tobytes()
+
+
+@FEW_CASES
+@given(
+    records=st.lists(
+        st.tuples(st.integers(0, 1), st.floats(min_value=0.0, allow_infinity=False)),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_csv_round_trip_reproduces_the_bytes(records):
+    delta, y = zip(*records)
+    sample = CurrentStatusSample(delta=np.array(delta), y=np.array(y))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        write_csv(sample, path)
+        back = read_csv(path)
+    assert back.delta.tobytes() == sample.delta.tobytes()
+    assert back.y.tobytes() == sample.y.tobytes()
