@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erf
 
 from ._parallel import replicate
-from .estimators import theoretical_cutoff_exponential, trace
+from .estimators import theoretical_cutoff_exponential
 from .model import Exponential, MixtureSpec, SortedSample, sort_with_concomitants
 
 _SQRT2 = math.sqrt(2.0)
@@ -118,15 +118,22 @@ def z_stats(
     x_n = float(x_n)
     if not math.isfinite(x_n) or x_n < 0:
         raise ValueError("cut-off must be finite and nonnegative")
-    tr = trace(ss)
-    g = int(np.searchsorted(tr.y, x_n, side="left"))
-    if g == tr.y.size:
+    n = ss.n
+    i = int(np.searchsorted(ss.y, x_n, side="left"))
+    if i == n:
         raise ValueError("cut-off exceeds the largest inspection time; the tail is empty")
-    # Records at or above x_n are exactly those in groups g..end, because
-    # every threshold below index g is < x_n.
-    m = int(tr.tail_count[g])
-    p1 = float(tr.p1[g])
-    p2 = float(tr.p2[g])
+    # y[i - 1] < x_n <= y[i], so position i opens tie group g and the tail
+    # is the m = n - i records from there on.  p1 and its running maximum p2
+    # are read off the tail means at the group openings up to g, with the
+    # same integer divisions as ``trace``.
+    m = n - i
+    starts = ss.group_start
+    g = int(np.searchsorted(starts, i, side="left"))
+    suffix = np.cumsum(ss.delta[::-1].astype(np.int64))[::-1]
+    opens = starts[: g + 1]
+    means = suffix[opens] / (n - opens)
+    p1 = float(means[-1])
+    p2 = float(means.max())
     if studentization == "known-p":
         scale = math.sqrt(p_true * (1.0 - p_true))
     else:

@@ -9,6 +9,7 @@ quantity the rest of the package estimates.
 
 from __future__ import annotations
 
+import codecs
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -18,6 +19,9 @@ import numpy as np
 
 class CsvFormatError(ValueError):
     """Raised when a dataset file does not match the expected layout."""
+
+
+_PAD = " \t"  # the only padding a CSV field may carry
 
 
 @dataclass(frozen=True)
@@ -159,7 +163,7 @@ def _indicators(delta, dtype) -> np.ndarray:
     """``delta`` cast to ``dtype`` once every entry is checked to be 0 or 1;
     the check comes first because the cast would truncate 0.5 to 0."""
     raw = np.asarray(delta)
-    if not np.all((raw == 0) | (raw == 1)):
+    if not ((raw == 0) | (raw == 1)).all():
         raise ValueError("delta entries must be 0 or 1")
     return raw.astype(dtype)
 
@@ -172,7 +176,7 @@ def _checked_records(delta, y) -> tuple[np.ndarray, np.ndarray]:
     if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
         raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
     delta = _indicators(raw, np.int8)
-    if not np.all(np.isfinite(y)) or np.any(y < 0):
+    if not np.isfinite(y).all() or (y < 0).any():
         raise ValueError("inspection times must be finite and nonnegative")
     return _freeze(delta), _freeze(y)
 
@@ -212,11 +216,15 @@ class SortedSample:
     def __post_init__(self) -> None:
         delta, y = _checked_records(self.delta, self.y)
         step = np.diff(y)
-        if np.any(step < 0):
+        if (step < 0).any():
             raise ValueError("y must be sorted ascending")
+        inner = np.flatnonzero(step)
+        starts = np.empty(inner.size + 1, dtype=np.intp)
+        starts[0] = 0
+        np.add(inner, 1, out=starts[1:])
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "group_start", _freeze(np.append(0, np.flatnonzero(step) + 1)))
+        object.__setattr__(self, "group_start", _freeze(starts))
 
     @property
     def n(self) -> int:
@@ -245,9 +253,21 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
 
 
 def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:
-    """Stable sort by inspection time, keeping each indicator with its y."""
-    order = np.argsort(sample.y, kind="stable")
-    return SortedSample(y=sample.y[order], delta=sample.delta[order])
+    """Stable sort by inspection time, keeping each indicator with its y.
+
+    The default (unstable) argsort runs first.  Without ties every sorting
+    order is the stable one, so its result stands.  When any two sorted
+    times compare equal, the argsort and the gather of ``y`` are both redone
+    stably: the gather too, because ``-0.0 == 0.0`` is a tie whose two
+    members differ in their bytes and may come out of the unstable sort in
+    the other order.
+    """
+    order = np.argsort(sample.y)
+    y = sample.y[order]
+    if (y[1:] == y[:-1]).any():
+        order = np.argsort(sample.y, kind="stable")
+        y = sample.y[order]
+    return SortedSample(y=y, delta=sample.delta[order])
 
 
 def write_csv(sample: CurrentStatusSample, path) -> None:
@@ -260,25 +280,42 @@ def write_csv(sample: CurrentStatusSample, path) -> None:
 
 
 def read_csv(path) -> CurrentStatusSample:
-    """Parse a ``delta,y`` file, reporting the line number of any bad row;
-    a leading UTF-8 byte order mark, as spreadsheets write, is skipped."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines or [c.strip() for c in lines[0].split(",")] != ["delta", "y"]:
+    """Parse a ``delta,y`` file, reporting the line number of any bad row.
+
+    A line ends at a line feed, which a carriage return may precede; no other
+    character ends one, so the numbers name lines of the file as an editor
+    counts them, and a carriage return anywhere else is part of its field.
+    A leading UTF-8 byte order mark, as spreadsheets write, is skipped.
+    Fields may be padded with spaces and tabs, and with nothing else.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8) :]
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw.count(b"\n", 0, exc.start) + 1
+        raise CsvFormatError(f"{path}: line {lineno}: not valid UTF-8") from None
+    lines = text.replace("\r\n", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines or [c.strip(_PAD) for c in lines[0].split(",")] != ["delta", "y"]:
         raise CsvFormatError(f"{path}: line 1: expected header 'delta,y'")
-    deltas: list[int] = []
+    deltas: list[bool] = []
     ys: list[float] = []
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 2:
             raise CsvFormatError(f"{path}: line {lineno}: expected two comma-separated fields")
-        d_raw, y_raw = parts[0].strip(), parts[1].strip()
+        d_raw, y_raw = parts[0].strip(_PAD), parts[1].strip(_PAD)
         if d_raw not in ("0", "1"):
             raise CsvFormatError(f"{path}: line {lineno}: delta must be 0 or 1, got {d_raw!r}")
-        # float() alone also reads "1_0" as 10 and non-ASCII digits ("１２",
-        # "٣"); "inf" and "nan" fail the finiteness check below.
+        # float() alone also reads "1_0" as 10, non-ASCII digits ("１２",
+        # "٣") and numbers padded with other whitespace ("0.7\f"); "inf" and
+        # "nan" fail the finiteness check below.
         try:
-            if not y_raw.isascii() or "_" in y_raw:
+            if not y_raw.isascii() or "_" in y_raw or y_raw.strip() != y_raw:
                 raise ValueError
             t = float(y_raw)
         except ValueError:
@@ -289,7 +326,7 @@ def read_csv(path) -> CurrentStatusSample:
             raise CsvFormatError(
                 f"{path}: line {lineno}: inspection time must be finite and nonnegative"
             )
-        deltas.append(int(d_raw))
+        deltas.append(d_raw == "1")
         ys.append(t)
     if not deltas:
         raise CsvFormatError(f"{path}: empty sample")

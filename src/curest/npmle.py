@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import replicate
-from .model import MixtureSpec, _indicators, sort_with_concomitants
+from .model import MixtureSpec, _indicators
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,9 @@ def npmle_cure_argmax_interval(fit: NpmleFit) -> CureArgmaxInterval:
 
 
 def _top_indicator(sample) -> int:
-    """Indicator of the last record after the stable sort by inspection time."""
-    return int(sort_with_concomitants(sample).delta[-1])
+    """Indicator of the last record after the stable sort by inspection time:
+    the last record holding the largest ``y``."""
+    return int(sample.delta[sample.n - 1 - int(np.argmax(sample.y[::-1]))])
 
 
 def inconsistency_probe(

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by a route different from the
 package code: adaptive quadrature for moments, golden-section search for
 argmins, an exact dynamic program (plus a brute enumerator) for
-grid-constrained likelihood maxima, and the literal max-min formula for the
-shape-constrained fit.
+grid-constrained likelihood maxima, the literal max-min formula for the
+shape-constrained fit, and the studentized tail statistics read off the
+full estimator trace.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+from curest import trace
 from curest.npmle import NpmleFit, _as_indicator
 
 
@@ -41,6 +43,30 @@ def maxmin_brute(deltas) -> NpmleFit:
                 best = worst
         fhat[i] = best
     return NpmleFit(fhat=fhat)
+
+
+def z_stats_from_trace(ss, x_n: float, p_true: float, studentization: str):
+    """(z1, z2, tail count) at cut-off ``x_n``, read from entry g of the
+    whole trace: the tail count, p1 and p2 of the first distinct threshold
+    at or above ``x_n``, then centered and scaled as ``z_stats`` documents."""
+    tr = trace(ss)
+    g = int(np.searchsorted(tr.y, x_n, side="left"))
+    m = int(tr.tail_count[g])
+    p1, p2 = float(tr.p1[g]), float(tr.p2[g])
+    if studentization == "known-p":
+        scale = math.sqrt(p_true * (1.0 - p_true))
+    else:
+        plug = 1.0 - p2
+        scale = math.sqrt(plug * (1.0 - plug))
+    center = 1.0 - p_true
+
+    def scaled(num):
+        if scale > 0.0:
+            return num / scale
+        return math.copysign(math.inf, num) if num != 0.0 else math.nan
+
+    root_m = math.sqrt(m)
+    return scaled(root_m * (p1 - center)), scaled(root_m * (p2 - center)), m
 
 
 def event_indicator_mean(p: float, event_rate: float, inspect_rate: float) -> float:

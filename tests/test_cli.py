@@ -130,6 +130,14 @@ def test_trace_malformed_csv_names_line(tmp_path):
     assert "line 3" in res.stderr
 
 
+def test_trace_invalid_utf8_is_runtime_error(tmp_path):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"delta,y\n1,0.5\n0,\xff\n")
+    res = run_cli("trace", "--data", str(data), "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 3
+    assert res.stderr == f"error: {data}: line 3: not valid UTF-8\n"
+
+
 def test_cv_hand_values_and_columns(tmp_path):
     data = tmp_path / "toy.csv"
     write_toy(data, [(1, 1.0), (0, 2.0), (1, 3.0)])

@@ -260,3 +260,20 @@ def test_csv_accepts_crlf(tmp_path):
     sample = read_csv(path)
     assert np.array_equal(sample.delta, [1, 0])
     assert np.array_equal(sample.y, [0.5, 2.0])
+
+
+def test_csv_invalid_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xef\xbb\xbfdelta,y\n1,0.5\n0,0.7\xb5\n1,2\n")
+    with pytest.raises(CsvFormatError, match=r"latin1\.csv: line 3: not valid UTF-8"):
+        read_csv(path)
+
+
+@pytest.mark.parametrize("end", ["\x0c", "\x0b", "\x1c", "\x85", "\u2028", "\r\r"])
+def test_csv_only_a_line_feed_ends_a_line(tmp_path, end):
+    # str.splitlines() also breaks at these, which put the error on line 4;
+    # of "\r\r\n" only the last "\r" belongs to the line ending.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"delta,y\n1,0.5\n0,0.7{end}\n1,2\n", encoding="utf-8", newline="")
+    with pytest.raises(CsvFormatError, match="line 3: bad inspection time"):
+        read_csv(path)

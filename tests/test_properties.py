@@ -1,5 +1,5 @@
-"""Invariants of the tail averages, the replication loop, the NPMLE and
-the CSV format, checked on generated inputs."""
+"""Invariants of the sort, the tail averages, the replication loop, the
+NPMLE and the CSV format, checked on generated inputs."""
 
 import tempfile
 from pathlib import Path
@@ -22,10 +22,12 @@ from curest import (
     sort_with_concomitants,
     trace,
     write_csv,
+    z_stats,
 )
 from curest._parallel import chunk_spans, replicate
+from curest.npmle import _top_indicator
 
-from oracles import maxmin_brute
+from oracles import maxmin_brute, z_stats_from_trace
 
 # Inspection times drawn mostly from a handful of values, so most samples
 # have ties, and sometimes from a continuum, so some have none.
@@ -35,6 +37,25 @@ inspection_times = st.one_of(
 samples = st.lists(st.tuples(st.integers(0, 1), inspection_times), min_size=1, max_size=60)
 CASES = settings(max_examples=200, deadline=None)
 FEW_CASES = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def large_samples(draw):
+    """Samples of up to 400 records: untied times, times on a few tied
+    values, or zeros of both signs among a few positive values.  Below 100
+    records numpy's default sort of doubles happens to be stable, so half
+    the draws are larger, where it is not and ``-0.0`` and ``0.0`` come out
+    of it in either order."""
+    n = draw(st.one_of(st.integers(1, 99), st.integers(100, 400)))
+    kind = draw(st.sampled_from(["untied", "tied", "signed-zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "untied":
+        y = rng.permutation(n) + rng.uniform(0.0, 0.5, n)
+    elif kind == "tied":
+        y = rng.integers(0, 6, n).astype(float)
+    else:
+        y = rng.choice([0.0, -0.0, -0.0, 0.0, 1.5, 3.0], n)
+    return CurrentStatusSample(delta=rng.integers(0, 2, n), y=y)
 
 
 def sorted_sample(records):
@@ -137,3 +158,45 @@ def test_csv_round_trip_reproduces_the_bytes(records):
         back = read_csv(path)
     assert back.delta.tobytes() == sample.delta.tobytes()
     assert back.y.tobytes() == sample.y.tobytes()
+
+
+@CASES
+@given(sample=large_samples())
+def test_sort_gives_the_bytes_of_a_stable_argsort(sample):
+    order = np.argsort(sample.y, kind="stable")
+    ss = sort_with_concomitants(sample)
+    assert ss.y.tobytes() == sample.y[order].tobytes()
+    assert ss.delta.tobytes() == sample.delta[order].tobytes()
+
+
+@CASES
+@given(sample=large_samples())
+def test_top_indicator_is_the_last_sorted_indicator(sample):
+    assert _top_indicator(sample) == sort_with_concomitants(sample).delta[-1]
+
+
+@CASES
+@given(
+    sample=st.one_of(samples.map(sorted_sample), large_samples().map(sort_with_concomitants)),
+    where=st.sampled_from(["below", "on", "between", "top"]),
+    data=st.data(),
+)
+def test_z_stats_reads_the_trace_entry_of_its_cutoff(sample, where, data):
+    # "on" hits a threshold, often one shared by a tie run, at any position
+    # of the run; "between" lies strictly between two distinct thresholds.
+    y = sample.y
+    if where == "below":
+        x = float(y[0]) / 2
+    elif where == "top":
+        x = float(y[-1])
+    else:
+        j = data.draw(st.integers(0, y.size - 1))
+        x = float(y[j])
+        if where == "between" and j > 0 and y[j - 1] < y[j]:
+            x = float(y[j - 1] + (y[j] - y[j - 1]) / 2)
+    for studentization in ("known-p", "plug-in"):
+        p_true = data.draw(st.sampled_from([0.3, 0.5, 0.9]))
+        got = z_stats(sample, x, p_true, studentization)
+        want = z_stats_from_trace(sample, x, p_true, studentization)
+        assert np.array([got.z1, got.z2]).tobytes() == np.array(want[:2]).tobytes()
+        assert got.tail_count == want[2]
