@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import erf
 
 from ._parallel import replicate
-from .estimators import theoretical_cutoff_exponential
-from .model import Exponential, MixtureSpec, SortedSample, sort_with_concomitants
+from .estimators import _tail_means, theoretical_cutoff_exponential
+from .model import Exponential, MixtureSpec, SortedSample, _check_count, sort_with_concomitants
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -124,14 +124,11 @@ def z_stats(
         raise ValueError("cut-off exceeds the largest inspection time; the tail is empty")
     # y[i - 1] < x_n <= y[i], so position i opens tie group g and the tail
     # is the m = n - i records from there on.  p1 and its running maximum p2
-    # are read off the tail means at the group openings up to g, with the
-    # same integer divisions as ``trace``.
+    # are read off the tail means at the group openings up to g.
     m = n - i
     starts = ss.group_start
     g = int(np.searchsorted(starts, i, side="left"))
-    suffix = np.cumsum(ss.delta[::-1].astype(np.int64))[::-1]
-    opens = starts[: g + 1]
-    means = suffix[opens] / (n - opens)
+    means = _tail_means(ss, starts[: g + 1])
     p1 = float(means[-1])
     p2 = float(means.max())
     if studentization == "known-p":
@@ -179,8 +176,7 @@ class CutoffRule:
             if self.x is None or not math.isfinite(self.x) or self.x < 0:
                 raise ValueError("fixed-x rule needs a finite nonnegative x")
         if self.kind == "fixed-tail":
-            if self.tail is None or self.tail < 1:
-                raise ValueError("fixed-tail rule needs tail >= 1")
+            _check_count("fixed-tail rule's tail", self.tail, 1)
 
     def resolve(self, spec: MixtureSpec, n: int, ss: SortedSample) -> float:
         if self.kind == "fixed-x":
@@ -196,7 +192,7 @@ class CutoffRule:
             )
         if self.kind == "undersmoothed":
             return float(spec.inspection.quantile(1.0 - 1.0 / math.sqrt(n)))
-        m = min(int(self.tail), n)
+        m = min(self.tail, n)
         return float(ss.y[n - m])
 
 
@@ -212,10 +208,9 @@ class McConfig:
     studentization: str = "known-p"
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        _check_count("n", self.n, 1)
+        _check_count("reps", self.reps, 1)
+        _check_count("seed", self.seed, 0)
         if not (0.0 < self.spec.p < 1.0):
             raise ValueError("Monte Carlo centering needs 0 < p < 1")
         if self.studentization not in ("known-p", "plug-in"):
@@ -318,10 +313,9 @@ class ThinningConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if self.reps < 1:
-            raise ValueError("reps must be at least 1")
+        _check_count("n", self.n, 1)
+        _check_count("reps", self.reps, 1)
+        _check_count("seed", self.seed, 0)
         targets = np.asarray(self.target_means, dtype=float)
         if targets.ndim != 1 or targets.size == 0:
             raise ValueError("target_means must be a nonempty 1-d sequence")

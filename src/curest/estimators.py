@@ -96,6 +96,13 @@ class CureEstimate:
     tail_count: int
 
 
+def _tail_means(ss: SortedSample, opens: np.ndarray) -> np.ndarray:
+    """Mean of the indicators from each sorted position in ``opens`` to the
+    end: one backward integer cumulative sum divided by the tail counts."""
+    suffix = np.cumsum(ss.delta[::-1].astype(np.int64))[::-1]
+    return suffix[opens] / (ss.n - opens)
+
+
 def trace(ss: SortedSample) -> EstimatorTrace:
     """Tail mean of the indicators at each distinct threshold, plus its
     running maximum over thresholds from the left.
@@ -104,19 +111,15 @@ def trace(ss: SortedSample) -> EstimatorTrace:
     single entry evaluated at the group's threshold, so tied records never
     straddle a cut-off.
     """
-    n = ss.n
-    suffix = np.cumsum(ss.delta[::-1].astype(np.int64))[::-1]
     starts = ss.group_start
-    tail = (n - starts).astype(np.int64)
-    p1 = suffix[starts] / tail
-    p2 = np.maximum.accumulate(p1)
+    p1 = _tail_means(ss, starts)
     return EstimatorTrace(
-        n=n,
+        n=ss.n,
         index=starts + 1,
         y=ss.y[starts],
-        tail_count=tail,
+        tail_count=(ss.n - starts).astype(np.int64),
         p1=p1,
-        p2=p2,
+        p2=np.maximum.accumulate(p1),
     )
 
 

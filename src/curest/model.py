@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import codecs
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import InitVar, dataclass, field
 from typing import Union
 
 import numpy as np
@@ -127,31 +128,27 @@ class MixtureSpec:
 
     With probability ``p`` a subject is cured (event time +inf); otherwise
     the event time follows ``event``.  Inspection times follow
-    ``inspection`` independently.  ``kg_alpha`` optionally asserts the
-    proportional-tails relation 1 - F(t) = (1 - G(t))**alpha between the two
-    laws; it is validated metadata, not a sampling input.
+    ``inspection`` independently.
     """
 
     p: float
     event: DistSpec
     inspection: DistSpec
-    kg_alpha: float | None = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
             raise ValueError(f"cure fraction p must lie in [0, 1], got {self.p!r}")
-        if self.kg_alpha is not None:
-            a = self.kg_alpha
-            if not (math.isfinite(a) and a > 0):
-                raise ValueError("kg_alpha must be positive and finite")
-            u = np.linspace(0.05, 0.95, 19)
-            t = np.asarray(self.inspection.quantile(u), dtype=float)
-            lhs = 1.0 - np.asarray(self.event.cdf(t), dtype=float)
-            rhs = (1.0 - np.asarray(self.inspection.cdf(t), dtype=float)) ** a
-            if float(np.max(np.abs(lhs - rhs))) > 1e-10:
-                raise ValueError(
-                    "kg_alpha does not satisfy 1 - F = (1 - G)**alpha on the check grid"
-                )
+
+
+def _check_count(name: str, value, low: int) -> None:
+    """Refuse ``value`` unless it is an integer of at least ``low``; a float
+    never passes, not even a whole one, so 2.5 is not read as 2."""
+    try:
+        ok = operator.index(value) >= low
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -168,31 +165,25 @@ def _indicators(delta, dtype) -> np.ndarray:
     return raw.astype(dtype)
 
 
-def _checked_records(delta, y) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen copies of a sample's indicators and inspection times, checked
-    as current-status records."""
-    raw = np.asarray(delta)
-    y = np.array(y, dtype=float, copy=True)
-    if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
-        raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
-    delta = _indicators(raw, np.int8)
-    if not np.isfinite(y).all() or (y < 0).any():
-        raise ValueError("inspection times must be finite and nonnegative")
-    return _freeze(delta), _freeze(y)
-
-
 @dataclass(frozen=True)
 class CurrentStatusSample:
-    """Observed records: delta[i] = 1 when the event preceded inspection y[i]."""
+    """Observed records: delta[i] = 1 when the event preceded inspection y[i].
+    The constructor checks the records and keeps frozen copies of them."""
 
     delta: np.ndarray
     y: np.ndarray
     seed: int = 0
 
     def __post_init__(self) -> None:
-        delta, y = _checked_records(self.delta, self.y)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "y", y)
+        raw = np.asarray(self.delta)
+        y = np.array(self.y, dtype=float, copy=True)
+        if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
+            raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
+        delta = _indicators(raw, np.int8)
+        if not np.isfinite(y).all() or (y < 0).any():
+            raise ValueError("inspection times must be finite and nonnegative")
+        object.__setattr__(self, "delta", _freeze(delta))
+        object.__setattr__(self, "y", _freeze(y))
 
     @property
     def n(self) -> int:
@@ -201,29 +192,44 @@ class CurrentStatusSample:
 
 @dataclass(frozen=True)
 class SortedSample:
-    """Sample sorted by inspection time, indicators carried along.
+    """A checked sample stably sorted by inspection time, indicators carried
+    along; built only from a ``CurrentStatusSample``, so its records are
+    checked exactly once.
 
-    ``group_start`` is derived from ``y``: the 0-based position opening each
-    run of tied inspection times.  Downstream statistics are evaluated once
-    per distinct threshold, so tied observations always land on the same
-    side of any cut-off.
+    The default (unstable) argsort runs first.  Without ties every sorting
+    order is the stable one, so its result stands.  When any two sorted
+    times compare equal, the argsort and the gather of ``y`` are both redone
+    stably: the gather too, because ``-0.0 == 0.0`` is a tie whose two
+    members differ in their bytes and may come out of the unstable sort in
+    the other order.
+
+    ``group_start`` holds the 0-based position opening each run of tied
+    inspection times, read off that one comparison of adjacent sorted times.
+    Downstream statistics are evaluated once per distinct threshold, so tied
+    observations always land on the same side of any cut-off.
     """
 
-    y: np.ndarray
-    delta: np.ndarray
+    sample: InitVar[CurrentStatusSample]
+    y: np.ndarray = field(init=False)
+    delta: np.ndarray = field(init=False)
     group_start: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        delta, y = _checked_records(self.delta, self.y)
-        step = np.diff(y)
-        if (step < 0).any():
-            raise ValueError("y must be sorted ascending")
-        inner = np.flatnonzero(step)
-        starts = np.empty(inner.size + 1, dtype=np.intp)
-        starts[0] = 0
-        np.add(inner, 1, out=starts[1:])
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "delta", delta)
+    def __post_init__(self, sample: CurrentStatusSample) -> None:
+        if not isinstance(sample, CurrentStatusSample):
+            raise TypeError(
+                f"SortedSample needs a CurrentStatusSample, got {type(sample).__name__}"
+            )
+        order = np.argsort(sample.y)
+        y = sample.y[order]
+        opens = np.append(True, y[1:] != y[:-1])  # first record of each tie group
+        if opens.all():
+            starts = np.arange(y.size, dtype=np.intp)
+        else:
+            order = np.argsort(sample.y, kind="stable")
+            y = sample.y[order]
+            starts = np.flatnonzero(opens)
+        object.__setattr__(self, "y", _freeze(y))
+        object.__setattr__(self, "delta", _freeze(sample.delta[order]))
         object.__setattr__(self, "group_start", _freeze(starts))
 
     @property
@@ -253,21 +259,9 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
 
 
 def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:
-    """Stable sort by inspection time, keeping each indicator with its y.
-
-    The default (unstable) argsort runs first.  Without ties every sorting
-    order is the stable one, so its result stands.  When any two sorted
-    times compare equal, the argsort and the gather of ``y`` are both redone
-    stably: the gather too, because ``-0.0 == 0.0`` is a tie whose two
-    members differ in their bytes and may come out of the unstable sort in
-    the other order.
-    """
-    order = np.argsort(sample.y)
-    y = sample.y[order]
-    if (y[1:] == y[:-1]).any():
-        order = np.argsort(sample.y, kind="stable")
-        y = sample.y[order]
-    return SortedSample(y=y, delta=sample.delta[order])
+    """Stable sort by inspection time, keeping each indicator with its y
+    (see ``SortedSample``)."""
+    return SortedSample(sample)
 
 
 def write_csv(sample: CurrentStatusSample, path) -> None:

@@ -23,11 +23,11 @@ import numpy as np
 import pytest
 
 from curest import (
+    CurrentStatusSample,
     CutoffRule,
     Exponential,
     McConfig,
     MixtureSpec,
-    SortedSample,
     cv_m1_curve,
     cv_m2_curve,
     estimate_cure,
@@ -246,7 +246,7 @@ def bernoulli_tail_z2(cfg):
         ss = sort_with_concomitants(simulate(cfg.spec, cfg.n, cfg.seed + k))
         rng = np.random.default_rng(cfg.seed + k).spawn(1)[0]
         delta = (rng.random(cfg.n) < 1.0 - p).astype(np.int8)
-        bernoulli = SortedSample(y=ss.y, delta=delta)
+        bernoulli = sort_with_concomitants(CurrentStatusSample(delta=delta, y=ss.y))
         z2[k] = z_stats(bernoulli, cfg.cutoff.x, p_true=p, studentization=cfg.studentization).z2
     return z2
 

@@ -226,6 +226,41 @@ def test_mc_config_validation():
         McConfig(spec=spec, n=10, reps=5, seed=0, cutoff=CutoffRule(kind="fixed-x", x=1.0))
 
 
+def _mc_config(**change):
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    params = dict(spec=spec, n=100, reps=5, seed=0, cutoff=CutoffRule(kind="fixed-x", x=1.0))
+    return McConfig(**{**params, **change})
+
+
+def _thinning_config(**change):
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    params = dict(spec=spec, n=100, target_means=[10.0], reps=5, seed=0)
+    return ThinningConfig(**{**params, **change})
+
+
+@pytest.mark.parametrize(
+    "build, name, value",
+    [
+        (lambda **kw: CutoffRule(kind="fixed-tail", **kw), "tail", 2.5),
+        (lambda **kw: CutoffRule(kind="fixed-tail", **kw), "tail", 2.0),
+        (lambda **kw: CutoffRule(kind="fixed-tail", **kw), "tail", math.nan),
+        (_mc_config, "n", math.nan),
+        (_mc_config, "n", 100.0),
+        (_mc_config, "reps", 2.5),
+        (_mc_config, "seed", -1),
+        (_mc_config, "seed", 0.5),
+        (_thinning_config, "n", math.nan),
+        (_thinning_config, "reps", 2.5),
+        (_thinning_config, "seed", -1),
+    ],
+)
+def test_integer_parameters_refuse_other_values(build, name, value):
+    # A float is never read as an integer, not even a whole one, and a
+    # count or seed below its least value is refused too.
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer of at least"):
+        build(**{name: value})
+
+
 def test_ks_against_normal_improves_with_sample_size():
     # undersmoothed cut-off, known-p scaling: the normal approximation for
     # the tail-average statistic should not degrade as n grows

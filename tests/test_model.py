@@ -17,6 +17,7 @@ from curest import (
     sort_with_concomitants,
     write_csv,
 )
+from curest import model
 
 from oracles import event_indicator_mean
 
@@ -74,35 +75,11 @@ def test_mixture_spec_validates_p():
         MixtureSpec(p=1.1, event=Exponential(1.0), inspection=Exponential(1.0))
 
 
-def test_mixture_spec_tail_exponent_link():
-    # exponential pair with event rate 2, inspection rate 1 has exponent 2
-    MixtureSpec(
-        p=0.3, event=Exponential(2.0), inspection=Exponential(1.0), kg_alpha=2.0
-    )
-    with pytest.raises(ValueError):
-        MixtureSpec(
-            p=0.3, event=Exponential(2.0), inspection=Exponential(1.0), kg_alpha=3.0
-        )
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        CurrentStatusSample(delta=np.array([0, 2]), y=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        CurrentStatusSample(delta=np.array([0, 1]), y=np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        CurrentStatusSample(delta=np.array([0, 1]), y=np.array([1.0, math.inf]))
-    with pytest.raises(ValueError):
-        CurrentStatusSample(delta=np.array([], dtype=int), y=np.array([]))
-    with pytest.raises(ValueError):  # an int8 cast alone would read 0.5 as 0
-        CurrentStatusSample(delta=np.array([0.5, 1.0]), y=np.array([1.0, 2.0]))
-
-
 @pytest.mark.parametrize(
     "delta, y",
     [
         ([2, 5], [1.0, 2.0]),
-        ([0.5, 1], [1.0, 2.0]),
+        ([0.5, 1], [1.0, 2.0]),  # an int8 cast alone would read 0.5 as 0
         ([0, 1], [1.0, math.inf]),
         ([0, 1], [1.0, math.nan]),
         ([0, 1], [-1.0, 2.0]),
@@ -111,18 +88,50 @@ def test_sample_validation():
     ],
 )
 def test_sorted_sample_checks_records(delta, y):
+    # A SortedSample is built only from a CurrentStatusSample, whose
+    # constructor owns the record checks.
     with pytest.raises(ValueError):
-        SortedSample(delta=np.asarray(delta), y=np.asarray(y, dtype=float))
+        CurrentStatusSample(delta=np.asarray(delta), y=np.asarray(y, dtype=float))
 
 
 def test_sorted_sample_derives_tie_groups_from_y():
-    ss = SortedSample(y=[1.0, 1.0, 2.0], delta=[1, 0, 1])
+    sample = CurrentStatusSample(delta=np.array([1, 0, 1]), y=np.array([1.0, 1.0, 2.0]))
+    ss = sort_with_concomitants(sample)
     assert np.array_equal(ss.group_start, [0, 2])
     assert not ss.group_start.flags.writeable
     with pytest.raises(TypeError):
-        SortedSample(y=[1.0, 1.0, 2.0], delta=[1, 0, 1], group_start=[0, 1, 2])
-    with pytest.raises(ValueError, match="sorted"):
-        SortedSample(y=[2.0, 1.0], delta=[0, 1])
+        SortedSample(sample, group_start=[0, 1, 2])
+    # An unsorted sample comes out stably sorted with its indicators.
+    ss = sort_with_concomitants(
+        CurrentStatusSample(delta=np.array([0, 1, 1, 0]), y=np.array([2.0, 1.0, 2.0, 1.0]))
+    )
+    assert np.array_equal(ss.y, [1.0, 1.0, 2.0, 2.0])
+    assert np.array_equal(ss.delta, [1, 0, 0, 1])
+    assert np.array_equal(ss.group_start, [0, 2])
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((np.array([1.0, 2.0]),), {}),
+        (((np.array([1, 0]), np.array([1.0, 2.0])),), {}),
+        ((), {"delta": np.array([1, 0]), "y": np.array([1.0, 2.0])}),
+    ],
+    ids=["array", "tuple", "keywords"],
+)
+def test_sorted_sample_refuses_raw_arrays(args, kwargs):
+    with pytest.raises(TypeError):
+        SortedSample(*args, **kwargs)
+
+
+def test_sort_checks_no_record_twice(monkeypatch):
+    calls = []
+    check = model._indicators
+    monkeypatch.setattr(model, "_indicators", lambda *a: calls.append(a) or check(*a))
+    sample = CurrentStatusSample(delta=np.array([1, 0, 1]), y=np.array([2.0, 1.0, 2.0]))
+    assert len(calls) == 1
+    sort_with_concomitants(sample)
+    assert len(calls) == 1
 
 
 def test_simulate_all_cured_means_no_events():

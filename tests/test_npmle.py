@@ -10,7 +10,6 @@ from curest import (
     CurrentStatusSample,
     Exponential,
     MixtureSpec,
-    SortedSample,
     inconsistency_probe,
     log_lik,
     npmle_cure_argmax_interval,
@@ -236,7 +235,9 @@ def test_inconsistency_probe_worker_count_is_invisible():
 def test_npmle_does_not_depend_on_record_order_within_ties():
     y = [1.0, 2.0, 2.0]
     his = [
-        npmle_cure_argmax_interval(npmle_pava(SortedSample(y=y, delta=delta).delta)).hi
+        npmle_cure_argmax_interval(
+            npmle_pava(sort_with_concomitants(CurrentStatusSample(delta=delta, y=y)).delta)
+        ).hi
         for delta in ([1, 0, 1], [1, 1, 0])
     ]
     assert his[0] == his[1]  # measured: 0.0 and 1/3

@@ -167,6 +167,10 @@ def test_sort_gives_the_bytes_of_a_stable_argsort(sample):
     ss = sort_with_concomitants(sample)
     assert ss.y.tobytes() == sample.y[order].tobytes()
     assert ss.delta.tobytes() == sample.delta[order].tobytes()
+    opens = np.concatenate([[0], np.flatnonzero(np.diff(sample.y[order]) != 0) + 1])
+    want = opens.astype(np.intp)
+    assert ss.group_start.dtype == want.dtype and ss.group_start.tobytes() == want.tobytes()
+    assert not any(a.flags.writeable for a in (ss.y, ss.delta, ss.group_start))
 
 
 @CASES
