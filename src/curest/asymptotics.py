@@ -53,8 +53,7 @@ class NormingConstants:
 
 
 def gumbel_norming_exponential(n: int, rate: float) -> NormingConstants:
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n, 1)
     if not (math.isfinite(rate) and rate > 0):
         raise ValueError("rate must be positive and finite")
     return NormingConstants(a=1.0 / rate, b=math.log(n) / rate)
@@ -163,6 +162,9 @@ class CutoffRule:
                      (requires exponential event and inspection laws)
       undersmoothed  inspection quantile 1 - 1/sqrt(n); expected tail ~ sqrt(n)
       fixed-tail     threshold at the order statistic keeping ``tail`` records
+
+    A rule refuses a field its kind does not use, so a value given for it
+    is never silently dropped.
     """
 
     kind: str
@@ -172,6 +174,10 @@ class CutoffRule:
     def __post_init__(self) -> None:
         if self.kind not in ("fixed-x", "optimal", "undersmoothed", "fixed-tail"):
             raise ValueError(f"unknown cut-off kind {self.kind!r}")
+        uses = {"fixed-x": "x", "fixed-tail": "tail"}.get(self.kind)
+        for name in ("x", "tail"):
+            if name != uses and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} rule takes no {name}")
         if self.kind == "fixed-x":
             if self.x is None or not math.isfinite(self.x) or self.x < 0:
                 raise ValueError("fixed-x rule needs a finite nonnegative x")

@@ -213,7 +213,12 @@ def cmd_estimate(args) -> int:
 
 def cmd_mc(args) -> int:
     spec = _mixture(args)
-    flag = {"fixed-x": "--cutoff-x", "fixed-tail": "--tail-count"}.get(args.cutoff, "--cutoff")
+    # Name the flag of the field CutoffRule checks first: a field the kind
+    # does not use, else the one it does.
+    own = {"fixed-x": "--cutoff-x", "fixed-tail": "--tail-count"}.get(args.cutoff)
+    given = {"--cutoff-x": args.cutoff_x, "--tail-count": args.tail_count}
+    stray = [f for f, value in given.items() if f != own and value is not None]
+    flag = stray[0] if stray else own or "--cutoff"
     rule = _checked(args, flag, CutoffRule, args.cutoff, args.cutoff_x, args.tail_count)
     # The count flags and the choices are checked by argparse, so the only
     # value McConfig can still reject is p at 0 or 1.
@@ -369,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("optimal", "undersmoothed", "fixed-x", "fixed-tail"),
         default="optimal",
     )
-    p_mc.add_argument("--cutoff-x", type=float, help="threshold for --cutoff fixed-x")
-    p_mc.add_argument("--tail-count", type=_count, help="tail size for --cutoff fixed-tail")
+    p_mc.add_argument("--cutoff-x", type=float, help="threshold for --cutoff fixed-x only")
+    p_mc.add_argument("--tail-count", type=_count, help="tail size for --cutoff fixed-tail only")
     p_mc.add_argument(
         "--studentization", choices=("known-p", "plug-in"), default="known-p"
     )

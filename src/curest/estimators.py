@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SortedSample
+from .model import SortedSample, _check_count
 
 
 @dataclass(frozen=True)
@@ -271,8 +271,7 @@ def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
     """Theoretical MSE profile of the tail average for exponential designs:
     p(1-p)/n * exp(mu x) + ((1-p) mu / (lam + mu))^2 * exp(-2 lam x)
     with lam the event rate and mu the inspection rate."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n, 1)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     if not all(math.isfinite(r) and r > 0 for r in (event_rate, inspect_rate)):
@@ -301,8 +300,7 @@ def theoretical_cutoff_exponential(
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n, 1)
     if not all(math.isfinite(r) and r > 0 for r in (event_rate, inspect_rate)):
         raise ValueError("rates must be positive and finite")
     lam, mu = event_rate, inspect_rate

@@ -47,7 +47,7 @@ class Exponential:
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
+        if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("quantile argument must lie in [0, 1]")
         with np.errstate(divide="ignore"):
             out = -np.log1p(-u) / self.rate
@@ -94,7 +94,7 @@ class TabulatedQuantile:
 
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u > 1.0)):
+        if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("quantile argument must lie in [0, 1]")
         out = np.interp(u, np.asarray(self.probs), np.asarray(self.values))
         return float(out) if out.ndim == 0 else out
@@ -196,16 +196,23 @@ class SortedSample:
     along; built only from a ``CurrentStatusSample``, so its records are
     checked exactly once.
 
-    The default (unstable) argsort runs first.  Without ties every sorting
-    order is the stable one, so its result stands.  When any two sorted
-    times compare equal, the argsort and the gather of ``y`` are both redone
-    stably: the gather too, because ``-0.0 == 0.0`` is a tie whose two
-    members differ in their bytes and may come out of the unstable sort in
-    the other order.
+    Each record is packed into one 64-bit key, the bits of ``y`` shifted up
+    one place with ``delta`` in the freed lowest bit, and the keys are sorted
+    as plain integers.  A checked time is finite and nonnegative, so its sign
+    bit, the one the shift drops, is clear, and the bits of nonnegative
+    doubles order as their values do; the sorted keys therefore give ``y``
+    back by a shift down and ``delta`` as their lowest bit.  Without ties the
+    sorted order of the times is unique, so it is the stable one.  Two
+    samples take the stable argsort and its gathers instead: one whose
+    sorted times compare equal anywhere, because the keys order a tie by
+    ``delta`` rather than by input position, and one whose first sorted time
+    is zero, because a ``-0.0`` loses its sign bit in the shift and would
+    come back as ``0.0``.
 
     ``group_start`` holds the 0-based position opening each run of tied
-    inspection times, read off that one comparison of adjacent sorted times.
-    Downstream statistics are evaluated once per distinct threshold, so tied
+    inspection times, read off one comparison of adjacent times taken from
+    the sorted keys; those equal the stably sorted times up to the sign of a
+    zero, and ``-0.0 == 0.0``, so the groups are the same.  Downstream statistics are evaluated once per distinct threshold, so tied
     observations always land on the same side of any cut-off.
     """
 
@@ -219,17 +226,23 @@ class SortedSample:
             raise TypeError(
                 f"SortedSample needs a CurrentStatusSample, got {type(sample).__name__}"
             )
-        order = np.argsort(sample.y)
-        y = sample.y[order]
-        opens = np.append(True, y[1:] != y[:-1])  # first record of each tie group
-        if opens.all():
+        key = sample.y.view(np.uint64) << 1
+        key |= sample.delta.view(np.uint8)
+        key.sort()
+        y = (key >> 1).view(np.float64)
+        opens = np.empty(y.size, dtype=bool)  # first record of each tie group
+        opens[0] = True
+        np.not_equal(y[1:], y[:-1], out=opens[1:])
+        if opens.all() and y[0] != 0.0:
+            delta = (key & 1).astype(np.int8)
             starts = np.arange(y.size, dtype=np.intp)
         else:
             order = np.argsort(sample.y, kind="stable")
             y = sample.y[order]
+            delta = sample.delta[order]
             starts = np.flatnonzero(opens)
         object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "delta", _freeze(sample.delta[order]))
+        object.__setattr__(self, "delta", _freeze(delta))
         object.__setattr__(self, "group_start", _freeze(starts))
 
     @property
@@ -245,8 +258,7 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     documented and a seed reproduces the sample exactly.  The event-time
     uniform is consumed even for cured subjects to keep the layout fixed.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n, 1)
     rng = np.random.default_rng(seed)
     u_cure = rng.random(n)
     u_event = rng.random(n)

@@ -205,6 +205,15 @@ def test_cutoff_rule_validation_and_resolution():
         CutoffRule(kind="fixed-x")
     with pytest.raises(ValueError):
         CutoffRule(kind="fixed-tail", tail=0)
+    for kind, fields, unused in [
+        ("optimal", {"x": 1.0}, "x"),
+        ("optimal", {"tail": 3}, "tail"),
+        ("undersmoothed", {"x": 1.0}, "x"),
+        ("fixed-x", {"x": 1.0, "tail": 3}, "tail"),
+        ("fixed-tail", {"x": 1.0, "tail": 3}, "x"),
+    ]:
+        with pytest.raises(ValueError, match=f"{kind} rule takes no {unused}"):
+            CutoffRule(kind=kind, **fields)
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     ss = sort_with_concomitants(simulate(spec, 100, seed=1))
     under = CutoffRule(kind="undersmoothed").resolve(spec, 100, ss)

@@ -367,6 +367,28 @@ def test_nonfinite_parameters_are_usage_errors(tmp_path, command, flag, value):
     assert flag in res.stderr.splitlines()[-1]
 
 
+@pytest.mark.parametrize(
+    "cutoff, flags, named",
+    [
+        ("optimal", ["--cutoff-x", "1"], "--cutoff-x"),
+        ("undersmoothed", ["--tail-count", "3"], "--tail-count"),
+        ("fixed-x", ["--cutoff-x", "1", "--tail-count", "3"], "--tail-count"),
+        ("fixed-x", ["--cutoff-x", "-1", "--tail-count", "3"], "--tail-count"),
+        ("fixed-tail", ["--tail-count", "3", "--cutoff-x", "1"], "--cutoff-x"),
+    ],
+)
+def test_mc_refuses_a_flag_its_cutoff_does_not_use(tmp_path, capsys, cutoff, flags, named):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([
+            "mc", "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "50",
+            "--reps", "1", "--threads", "1", "--out", str(tmp_path / "x.csv"),
+            "--cutoff", cutoff, *flags,
+        ])
+    assert exc.value.code == 2
+    assert f"{named}: {cutoff} rule takes no" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "mc", "thinning"])
 def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     flags = [

@@ -385,3 +385,18 @@ def test_estimate_at_fixed_choice_object():
 def test_exponential_closed_forms_reject_bad_rates(call, rate):
     with pytest.raises(ValueError, match="rate"):
         call(rate)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, 100.0, math.nan])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: theoretical_mn(1.0, n=n, p=0.3, event_rate=2.0, inspect_rate=1.0),
+        lambda n: theoretical_cutoff_exponential(n, 0.3, 2.0, 1.0),
+        lambda n: gumbel_norming_exponential(n, 1.0),
+    ],
+    ids=["mn", "cutoff", "gumbel"],
+)
+def test_exponential_closed_forms_refuse_a_count_that_is_not_an_integer(call, n):
+    with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+        call(n)

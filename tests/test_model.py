@@ -50,6 +50,15 @@ def test_exponential_rejects_nonpositive_rate():
         Exponential(-1.0)
 
 
+@pytest.mark.parametrize(
+    "dist", [Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))]
+)
+@pytest.mark.parametrize("u", [math.nan, -0.1, 1.1, [0.5, math.nan], [0.2, 1.5]])
+def test_quantile_refuses_arguments_outside_the_unit_interval(dist, u):
+    with pytest.raises(ValueError, match=r"quantile argument must lie in \[0, 1\]"):
+        dist.quantile(u)
+
+
 def test_tabulated_point_mass():
     dist = TabulatedQuantile.point_mass(3.0)
     assert dist.quantile(0.01) == 3.0
@@ -134,6 +143,29 @@ def test_sort_checks_no_record_twice(monkeypatch):
     assert len(calls) == 1
 
 
+def test_only_a_tied_or_zero_sample_is_argsorted(monkeypatch):
+    # The packed-key sort leaves an untied sample without zeros to a plain
+    # sort of keys; only ties or a zero first time fall back to one stable
+    # argsort.
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting)
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    untied = simulate(spec, 10_000, seed=0)
+    assert np.unique(untied.y).size == untied.n and untied.y.min() > 0.0
+    sort_with_concomitants(untied)
+    assert calls == []
+    rng = np.random.default_rng(0)
+    tied = CurrentStatusSample(delta=rng.integers(0, 2, 10_000), y=rng.integers(1, 9, 10_000))
+    sort_with_concomitants(tied)
+    assert calls == ["stable"]
+
+
 def test_simulate_all_cured_means_no_events():
     spec = MixtureSpec(p=1.0, event=Exponential(3.0), inspection=Exponential(1.0))
     for seed in (0, 1, 2):
@@ -171,8 +203,9 @@ def test_simulate_deterministic_per_seed():
 
 def test_simulate_rejects_bad_n():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    with pytest.raises(ValueError):
-        simulate(spec, 0, seed=1)
+    for n in (0, 2.5, 100.0, math.nan):
+        with pytest.raises(ValueError, match="n must be an integer of at least 1"):
+            simulate(spec, n, seed=1)
 
 
 def test_sort_basic_and_idempotent():

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curest import (
@@ -42,19 +42,30 @@ FEW_CASES = settings(max_examples=100, deadline=None)
 @st.composite
 def large_samples(draw):
     """Samples of up to 400 records: untied times, times on a few tied
-    values, or zeros of both signs among a few positive values.  Below 100
-    records numpy's default sort of doubles happens to be stable, so half
-    the draws are larger, where it is not and ``-0.0`` and ``0.0`` come out
-    of it in either order."""
+    values, zeros of both signs among a few positive values, one ``-0.0``
+    among untied positive times, or untied times at the ends of the double
+    range (subnormals, times of 2.0 and more, whose keys carry the top
+    exponent bit, and the largest double).  Below 100 records numpy's
+    default sort of doubles happens to be stable, so half the draws are
+    larger, where it is not and ``-0.0`` and ``0.0`` come out of it in
+    either order."""
     n = draw(st.one_of(st.integers(1, 99), st.integers(100, 400)))
-    kind = draw(st.sampled_from(["untied", "tied", "signed-zero"]))
+    kinds = ["untied", "tied", "signed-zero", "lone-negative-zero", "extreme"]
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "untied":
         y = rng.permutation(n) + rng.uniform(0.0, 0.5, n)
     elif kind == "tied":
         y = rng.integers(0, 6, n).astype(float)
-    else:
+    elif kind == "signed-zero":
         y = rng.choice([0.0, -0.0, -0.0, 0.0, 1.5, 3.0], n)
+    elif kind == "lone-negative-zero":
+        y = rng.permutation(n) + rng.uniform(0.5, 1.0, n)
+        y[rng.integers(n)] = -0.0
+    else:
+        subnormal = np.arange(1, n + 1) * np.finfo(float).smallest_subnormal
+        pool = np.concatenate([subnormal, 2.0 ** rng.uniform(1.0, 1023.0, n)])
+        y = rng.permutation(np.append(rng.choice(pool, n - 1, replace=False), np.finfo(float).max))
     return CurrentStatusSample(delta=rng.integers(0, 2, n), y=y)
 
 
@@ -160,9 +171,7 @@ def test_csv_round_trip_reproduces_the_bytes(records):
     assert back.y.tobytes() == sample.y.tobytes()
 
 
-@CASES
-@given(sample=large_samples())
-def test_sort_gives_the_bytes_of_a_stable_argsort(sample):
+def assert_stable_argsort_bytes(sample):
     order = np.argsort(sample.y, kind="stable")
     ss = sort_with_concomitants(sample)
     assert ss.y.tobytes() == sample.y[order].tobytes()
@@ -171,6 +180,19 @@ def test_sort_gives_the_bytes_of_a_stable_argsort(sample):
     want = opens.astype(np.intp)
     assert ss.group_start.dtype == want.dtype and ss.group_start.tobytes() == want.tobytes()
     assert not any(a.flags.writeable for a in (ss.y, ss.delta, ss.group_start))
+
+
+@CASES
+@given(sample=large_samples())
+@example(sample=CurrentStatusSample(delta=np.array([1]), y=np.array([-0.0])))
+@example(sample=CurrentStatusSample(delta=np.array([0]), y=np.array([-0.0])))
+def test_sort_gives_the_bytes_of_a_stable_argsort(sample):
+    assert_stable_argsort_bytes(sample)
+
+
+def test_sort_of_a_large_simulated_sample_gives_the_bytes_of_a_stable_argsort():
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    assert_stable_argsort_bytes(simulate(spec, 100_000, 0))
 
 
 @CASES
