@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from .model import simulate
+from .model import _check_count, simulate
 
 
 def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous [start, stop) spans covering range(reps), in order."""
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
+    _check_count("reps", reps, 1)
     chunks = max(1, min(reps, workers * 4))
     edges = [round(i * reps / chunks) for i in range(chunks + 1)]
     return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
@@ -25,7 +24,7 @@ def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
 def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
     """Run ``fn(*args, start, stop)`` over chunked replication spans; the
     results come back in span order for any worker count."""
-    workers = max(1, int(workers))
+    _check_count("workers", workers, 1)
     spans = chunk_spans(reps, workers)
     if workers == 1 or len(spans) == 1:
         return [fn(*args, a, b) for a, b in spans]

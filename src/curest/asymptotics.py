@@ -117,14 +117,11 @@ def z_stats(
     x_n = float(x_n)
     if not math.isfinite(x_n) or x_n < 0:
         raise ValueError("cut-off must be finite and nonnegative")
-    n = ss.n
-    i = int(np.searchsorted(ss.y, x_n, side="left"))
-    if i == n:
-        raise ValueError("cut-off exceeds the largest inspection time; the tail is empty")
-    # y[i - 1] < x_n <= y[i], so position i opens tie group g and the tail
-    # is the m = n - i records from there on.  p1 and its running maximum p2
-    # are read off the tail means at the group openings up to g.
-    m = n - i
+    i = ss.tail_start(x_n)
+    # Position i opens tie group g and the tail is the m = n - i records
+    # from there on.  p1 and its running maximum p2 are read off the tail
+    # means at the group openings up to g.
+    m = ss.n - i
     starts = ss.group_start
     g = int(np.searchsorted(starts, i, side="left"))
     means = _tail_means(ss, starts[: g + 1])
@@ -184,7 +181,8 @@ class CutoffRule:
         if self.kind == "fixed-tail":
             _check_count("fixed-tail rule's tail", self.tail, 1)
 
-    def resolve(self, spec: MixtureSpec, n: int, ss: SortedSample) -> float:
+    def resolve(self, spec: MixtureSpec, ss: SortedSample) -> float:
+        n = ss.n
         if self.kind == "fixed-x":
             return float(self.x)
         if self.kind == "optimal":
@@ -256,7 +254,7 @@ def _mc_stat(config: McConfig, sample) -> tuple[float, float] | None:
     """(z1, z2) of one sample, or None when its threshold exceeds the
     largest inspection time."""
     ss = sort_with_concomitants(sample)
-    x = config.cutoff.resolve(config.spec, config.n, ss)
+    x = config.cutoff.resolve(config.spec, ss)
     if x > ss.y[-1]:
         return None
     zz = z_stats(ss, x, p_true=config.spec.p, studentization=config.studentization)

@@ -30,7 +30,9 @@ from .estimators import (
     theoretical_cutoff_exponential,
     trace,
 )
-from .model import Exponential, MixtureSpec, read_csv, simulate, sort_with_concomitants, write_csv
+from .model import (
+    Exponential, MixtureSpec, read_csv, simulate, sort_with_concomitants, write_csv, write_table,
+)
 
 _JSON_KEYS = (
     "pHat1",
@@ -54,22 +56,6 @@ def _write_json_summary(path: str, **fields) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _write_table(path: str, header: str, columns) -> None:
-    """Write a CSV with one row per entry of the array columns, every cell
-    through ``_fmt``; a column given as None (never the first) has empty cells."""
-    n = len(columns[0])
-    # Python numbers from tolist() format faster than numpy scalars.
-    cells = [[None] * n if col is None else col.tolist() for col in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cells):
-            fh.write(",".join("" if cell is None else _fmt(cell) for cell in row) + "\n")
 
 
 def _checked(args, flag: str, build, *params):
@@ -98,7 +84,7 @@ def cmd_simulate(args) -> int:
 def cmd_trace(args) -> int:
     ss = sort_with_concomitants(read_csv(args.data))
     tr = trace(ss)
-    _write_table(args.out, "index,y,p1,p2", (tr.index, tr.y, tr.p1, tr.p2))
+    write_table(args.out, "index,y,p1,p2", (tr.index, tr.y, tr.p1, tr.p2))
     print(f"n={tr.n} rows={tr.index.size} final_p2={tr.p2[-1]:.6g}")
     return 0
 
@@ -113,7 +99,7 @@ def cmd_cv(args) -> int:
         print(f"warning: m1 objective unavailable: {exc}", file=sys.stderr)
     tr = m2.trace
     m1_columns = (m1.variance, m1.bias_sq, m1.objective) if m1 is not None else (None,) * 3
-    _write_table(
+    write_table(
         args.out,
         "index,y,m1_var,m1_bias2,m1,m2_var,m2_bias2,m2",
         (tr.index, tr.y, *m1_columns, m2.variance, m2.bias_sq, m2.objective),
@@ -159,29 +145,24 @@ def cmd_estimate(args) -> int:
         choice = select_cutoff(curve, guard=guard)
     else:
         tr = trace(ss)
-    if args.method == "fixed-index":
-        choice = choice_at_index(tr, args.index, method="fixed-index", guard=guard)
-    elif args.method == "fixed-quantile":
-        pos = min(tr.n, max(1, math.ceil(args.quantile * tr.n)))
-        choice = choice_at_index(tr, pos, method="fixed-quantile", guard=guard)
-    elif args.method == "theoretical-exp":
-        print(
-            "warning: theoretical-exp uses the oracle design parameters "
-            "(--p/--f-rate/--g-rate), not the data",
-            file=sys.stderr,
-        )
-        # With the rates and n already valid, only p outside (0, 1) is left
-        # for the closed form to reject.
-        x_star = _checked(
-            args, "--p", theoretical_cutoff_exponential,
-            tr.n, spec.p, spec.event.rate, spec.inspection.rate,
-        )
-        pos = int(np.searchsorted(ss.y, x_star, side="left"))
-        if pos == tr.n:
-            raise ValueError(
-                "theoretical cut-off exceeds the largest inspection time; the tail is empty"
+        if args.method == "fixed-index":
+            pos = args.index
+        elif args.method == "fixed-quantile":
+            pos = min(tr.n, max(1, math.ceil(args.quantile * tr.n)))
+        else:
+            print(
+                "warning: theoretical-exp uses the oracle design parameters "
+                "(--p/--f-rate/--g-rate), not the data",
+                file=sys.stderr,
             )
-        choice = choice_at_index(tr, pos + 1, method="theoretical-exp", guard=guard)
+            # With the rates and n already valid, only p outside (0, 1) is
+            # left for the closed form to reject.
+            x_star = _checked(
+                args, "--p", theoretical_cutoff_exponential,
+                tr.n, spec.p, spec.event.rate, spec.inspection.rate,
+            )
+            pos = ss.tail_start(x_star) + 1
+        choice = choice_at_index(tr, pos, method=args.method, guard=guard)
 
     est = estimate_cure(tr, choice)
     z = float(ndtri(1.0 - args.alpha / 2.0))
@@ -226,7 +207,7 @@ def cmd_mc(args) -> int:
         args, "--p", McConfig, spec, args.n, args.reps, args.seed, rule, args.studentization
     )
     res = run_mc(config, workers=args.threads)
-    _write_table(args.out, "rep,z1,z2", (res.rep_index, res.z1, res.z2))
+    write_table(args.out, "rep,z1,z2", (res.rep_index, res.z1, res.z2))
     print(
         f"reps={config.reps} retained={res.retained} skipped={res.skipped} "
         f"nonfinite={res.nonfinite}"
@@ -254,7 +235,7 @@ def cmd_thinning(args) -> int:
         spec, args.n, args.target_mean, args.reps, args.seed,
     )
     stats = thinning_check(config, workers=args.threads)
-    _write_table(
+    write_table(
         args.out,
         "target_mean,threshold,mean_n1,mean_n0,var_over_mean_n1,var_over_mean_n0,corr_n1_n0",
         (

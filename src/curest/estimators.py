@@ -156,6 +156,8 @@ def choice_at_index(
 ) -> CutoffChoice:
     """CutoffChoice at a 1-based sorted-sample position, resolved to the
     threshold of the tie group containing it."""
+    _check_count("index", index, 1)
+    _check_count("guard", guard, 1)
     entry = _entry_for_index(tr, index)
     return CutoffChoice(
         method=method,
@@ -245,8 +247,7 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
 
     Ties resolve to the smallest index.
     """
-    if guard < 1:
-        raise ValueError("guard must be at least 1")
+    _check_count("guard", guard, 1)
     tr = curve.trace
     ok = tr.tail_count >= guard
     if not np.any(ok):

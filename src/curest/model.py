@@ -168,7 +168,8 @@ def _indicators(delta, dtype) -> np.ndarray:
 @dataclass(frozen=True)
 class CurrentStatusSample:
     """Observed records: delta[i] = 1 when the event preceded inspection y[i].
-    The constructor checks the records and keeps frozen copies of them."""
+    The constructor checks the records and keeps frozen copies of them; a
+    time of ``-0.0`` is stored as ``0.0``."""
 
     delta: np.ndarray
     y: np.ndarray
@@ -176,7 +177,7 @@ class CurrentStatusSample:
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.delta)
-        y = np.array(self.y, dtype=float, copy=True)
+        y = np.asarray(self.y, dtype=float) + 0.0  # a copy, with -0.0 as 0.0
         if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
             raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
         delta = _indicators(raw, np.int8)
@@ -198,22 +199,18 @@ class SortedSample:
 
     Each record is packed into one 64-bit key, the bits of ``y`` shifted up
     one place with ``delta`` in the freed lowest bit, and the keys are sorted
-    as plain integers.  A checked time is finite and nonnegative, so its sign
-    bit, the one the shift drops, is clear, and the bits of nonnegative
-    doubles order as their values do; the sorted keys therefore give ``y``
-    back by a shift down and ``delta`` as their lowest bit.  Without ties the
-    sorted order of the times is unique, so it is the stable one.  Two
-    samples take the stable argsort and its gathers instead: one whose
-    sorted times compare equal anywhere, because the keys order a tie by
-    ``delta`` rather than by input position, and one whose first sorted time
-    is zero, because a ``-0.0`` loses its sign bit in the shift and would
-    come back as ``0.0``.
+    as plain integers.  A checked time is finite and nonnegative, and never
+    ``-0.0``, so its sign bit, the one the shift drops, is clear, and the
+    bits of nonnegative doubles order as their values do; the sorted keys
+    therefore give ``y`` back by a shift down.  Without ties the sorted order
+    is unique, so it is the stable one and ``delta`` is the keys' lowest bit.
+    The keys order a tie by ``delta`` rather than by input position, so a
+    tied sample takes ``delta`` through a stable argsort instead.
 
     ``group_start`` holds the 0-based position opening each run of tied
-    inspection times, read off one comparison of adjacent times taken from
-    the sorted keys; those equal the stably sorted times up to the sign of a
-    zero, and ``-0.0 == 0.0``, so the groups are the same.  Downstream statistics are evaluated once per distinct threshold, so tied
-    observations always land on the same side of any cut-off.
+    inspection times.  Downstream statistics are evaluated once per distinct
+    threshold, so tied observations always land on the same side of any
+    cut-off.
     """
 
     sample: InitVar[CurrentStatusSample]
@@ -233,13 +230,11 @@ class SortedSample:
         opens = np.empty(y.size, dtype=bool)  # first record of each tie group
         opens[0] = True
         np.not_equal(y[1:], y[:-1], out=opens[1:])
-        if opens.all() and y[0] != 0.0:
+        if opens.all():
             delta = (key & 1).astype(np.int8)
             starts = np.arange(y.size, dtype=np.intp)
         else:
-            order = np.argsort(sample.y, kind="stable")
-            y = sample.y[order]
-            delta = sample.delta[order]
+            delta = sample.delta[np.argsort(sample.y, kind="stable")]
             starts = np.flatnonzero(opens)
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "delta", _freeze(delta))
@@ -248,6 +243,15 @@ class SortedSample:
     @property
     def n(self) -> int:
         return self.y.size
+
+    def tail_start(self, x: float) -> int:
+        """0-based position of the first record of the tail ``y >= x``; it
+        opens a tie group.  A threshold above the largest inspection time
+        leaves the tail empty and is refused."""
+        i = int(np.searchsorted(self.y, x, side="left"))
+        if i == self.n:
+            raise ValueError("cut-off exceeds the largest inspection time; the tail is empty")
+        return i
 
 
 def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
@@ -259,6 +263,7 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     uniform is consumed even for cured subjects to keep the layout fixed.
     """
     _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     u_cure = rng.random(n)
     u_event = rng.random(n)
@@ -276,13 +281,21 @@ def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:
     return SortedSample(sample)
 
 
-def write_csv(sample: CurrentStatusSample, path) -> None:
-    """Write ``delta,y`` rows; y carries 17 significant digits so the file
-    round-trips float64 exactly."""
+def write_table(path, header: str, columns) -> None:
+    """Write a CSV with one row per entry of the array columns, each number
+    with 17 significant digits so it round-trips float64 exactly; a column
+    given as None has empty cells."""
+    row = ",".join("" if col is None else "{:.17g}" for col in columns) + "\n"
+    # Python numbers from tolist() format faster than numpy scalars.
+    cells = [col.tolist() for col in columns if col is not None]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("delta,y\n")
-        for d, t in zip(sample.delta, sample.y):
-            fh.write(f"{int(d)},{t:.17g}\n")
+        fh.write(header + "\n")
+        fh.writelines(map(row.format, *cells))
+
+
+def write_csv(sample: CurrentStatusSample, path) -> None:
+    """Write ``delta,y`` rows (see ``write_table``)."""
+    write_table(path, "delta,y", (sample.delta, sample.y))
 
 
 def read_csv(path) -> CurrentStatusSample:

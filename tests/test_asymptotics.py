@@ -198,6 +198,14 @@ def test_run_mc_worker_count_is_invisible():
     assert r1.skipped == r2.skipped and np.array_equal(r1.rep_index, r2.rep_index)
 
 
+@pytest.mark.parametrize("workers", [0, -3, 2.7])
+def test_run_mc_refuses_a_worker_count_that_is_not_a_positive_integer(workers):
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    cfg = McConfig(spec=spec, n=30, reps=3, seed=0, cutoff=CutoffRule(kind="fixed-tail", tail=5))
+    with pytest.raises(ValueError, match="workers must be an integer of at least 1"):
+        run_mc(cfg, workers=workers)
+
+
 def test_cutoff_rule_validation_and_resolution():
     with pytest.raises(ValueError):
         CutoffRule(kind="nope")
@@ -216,17 +224,17 @@ def test_cutoff_rule_validation_and_resolution():
             CutoffRule(kind=kind, **fields)
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     ss = sort_with_concomitants(simulate(spec, 100, seed=1))
-    under = CutoffRule(kind="undersmoothed").resolve(spec, 100, ss)
+    under = CutoffRule(kind="undersmoothed").resolve(spec, ss)
     assert under == pytest.approx(spec.inspection.quantile(1.0 - 0.1), rel=1e-12)
     tail_rule = CutoffRule(kind="fixed-tail", tail=10)
-    assert tail_rule.resolve(spec, 100, ss) == ss.y[90]
+    assert tail_rule.resolve(spec, ss) == ss.y[90]
     clamped = CutoffRule(kind="fixed-tail", tail=1000)
-    assert clamped.resolve(spec, 100, ss) == ss.y[0]
+    assert clamped.resolve(spec, ss) == ss.y[0]
     mixed = MixtureSpec(
         p=0.3, event=TabulatedQuantile.point_mass(1.0), inspection=Exponential(1.0)
     )
     with pytest.raises(ValueError):
-        CutoffRule(kind="optimal").resolve(mixed, 100, ss)
+        CutoffRule(kind="optimal").resolve(mixed, ss)
 
 
 def test_mc_config_validation():

@@ -122,6 +122,14 @@ def test_trace_merges_ties(tmp_path):
     assert "rows=3" in res.stdout
 
 
+def test_trace_writes_a_negative_zero_time_as_zero(tmp_path):
+    data = tmp_path / "toy.csv"
+    write_toy(data, [(1, "-0"), (0, 2.0)])
+    out = tmp_path / "trace.csv"
+    assert cli.main(["trace", "--data", str(data), "--out", str(out)]) == 0
+    assert [r["y"] for r in read_rows(out)] == ["0", "2"]
+
+
 def test_trace_malformed_csv_names_line(tmp_path):
     data = tmp_path / "bad.csv"
     data.write_text("delta,y\n1,0.5\nbad,1.0\n", encoding="utf-8")

@@ -119,6 +119,14 @@ def test_estimate_guard_violation():
         choice_at_index(tr, 0)
 
 
+def test_choice_at_index_refuses_fractional_index_and_guard():
+    tr = trace(sorted_toy([1, 0, 1]))
+    with pytest.raises(ValueError, match="index must be an integer of at least 1"):
+        choice_at_index(tr, 2.5)
+    with pytest.raises(ValueError, match="guard must be an integer of at least 1"):
+        choice_at_index(tr, 2, guard=2.5)
+
+
 def test_estimate_ordering_property():
     rng = np.random.default_rng(31)
     for _ in range(20):
@@ -289,6 +297,8 @@ def test_select_error_cases():
         select_cutoff(curve, guard=5)  # nothing passes the tail guard
     with pytest.raises(ValueError):
         select_cutoff(curve, guard=0)
+    with pytest.raises(ValueError, match="guard must be an integer of at least 1"):
+        select_cutoff(curve, guard=2.5)
     degenerate = make_curve(np.arange(8, 0, -1), np.zeros(8), np.full(8, 0.01))
     with pytest.raises(ValueError, match="degenerate"):
         select_cutoff(degenerate, guard=5)

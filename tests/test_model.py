@@ -143,10 +143,9 @@ def test_sort_checks_no_record_twice(monkeypatch):
     assert len(calls) == 1
 
 
-def test_only_a_tied_or_zero_sample_is_argsorted(monkeypatch):
-    # The packed-key sort leaves an untied sample without zeros to a plain
-    # sort of keys; only ties or a zero first time fall back to one stable
-    # argsort.
+def test_ties_only_take_the_argsort(monkeypatch):
+    # The packed-key sort leaves an untied sample, one with a zero time
+    # included, to a plain sort of keys; only ties take one stable argsort.
     calls = []
     argsort = np.argsort
 
@@ -159,11 +158,20 @@ def test_only_a_tied_or_zero_sample_is_argsorted(monkeypatch):
     untied = simulate(spec, 10_000, seed=0)
     assert np.unique(untied.y).size == untied.n and untied.y.min() > 0.0
     sort_with_concomitants(untied)
+    with_zero = CurrentStatusSample(delta=untied.delta, y=np.append(untied.y[1:], -0.0))
+    assert np.unique(with_zero.y).size == with_zero.n and with_zero.y.min() == 0.0
+    sort_with_concomitants(with_zero)
     assert calls == []
     rng = np.random.default_rng(0)
     tied = CurrentStatusSample(delta=rng.integers(0, 2, 10_000), y=rng.integers(1, 9, 10_000))
     sort_with_concomitants(tied)
     assert calls == ["stable"]
+
+
+def test_negative_zero_time_is_stored_as_zero():
+    sample = CurrentStatusSample(delta=[1, 0], y=[-0.0, 1.0])
+    assert not np.signbit(sample.y).any()
+    assert not np.signbit(sort_with_concomitants(sample).y).any()
 
 
 def test_simulate_all_cured_means_no_events():
@@ -206,6 +214,13 @@ def test_simulate_rejects_bad_n():
     for n in (0, 2.5, 100.0, math.nan):
         with pytest.raises(ValueError, match="n must be an integer of at least 1"):
             simulate(spec, n, seed=1)
+
+
+def test_simulate_rejects_a_seed_that_is_not_a_nonnegative_integer():
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    for seed in (-1, 2.5):
+        with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+            simulate(spec, 5, seed)
 
 
 def test_sort_basic_and_idempotent():

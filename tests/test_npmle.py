@@ -227,6 +227,12 @@ def test_inconsistency_probe_worker_count_is_invisible():
 
 
 
+def test_inconsistency_probe_refuses_fractional_reps():
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    with pytest.raises(ValueError, match="reps must be an integer of at least 1"):
+        inconsistency_probe(spec, 20, 2.5, 0)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="npmle_pava fits records one by one, so the order of records inside "

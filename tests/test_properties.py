@@ -1,10 +1,12 @@
 """Invariants of the sort, the tail averages, the replication loop, the
 NPMLE and the CSV format, checked on generated inputs."""
 
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -47,8 +49,7 @@ def large_samples(draw):
     range (subnormals, times of 2.0 and more, whose keys carry the top
     exponent bit, and the largest double).  Below 100 records numpy's
     default sort of doubles happens to be stable, so half the draws are
-    larger, where it is not and ``-0.0`` and ``0.0`` come out of it in
-    either order."""
+    larger, where it is not."""
     n = draw(st.one_of(st.integers(1, 99), st.integers(100, 400)))
     kinds = ["untied", "tied", "signed-zero", "lone-negative-zero", "extreme"]
     kind = draw(st.sampled_from(kinds))
@@ -129,6 +130,11 @@ def test_chunk_spans_split_the_replications_in_order(reps, workers):
     assert all(b == c for (_, b), (c, _) in zip(spans, spans[1:]))
 
 
+def test_chunk_spans_refuses_fractional_reps():
+    with pytest.raises(ValueError, match="reps must be an integer of at least 1"):
+        chunk_spans(2.5, 1)
+
+
 @FEW_CASES
 @given(
     p=st.floats(0.0, 1.0),
@@ -199,6 +205,31 @@ def test_sort_of_a_large_simulated_sample_gives_the_bytes_of_a_stable_argsort():
 @given(sample=large_samples())
 def test_top_indicator_is_the_last_sorted_indicator(sample):
     assert _top_indicator(sample) == sort_with_concomitants(sample).delta[-1]
+
+
+@CASES
+@given(
+    sample=st.one_of(samples.map(sorted_sample), large_samples().map(sort_with_concomitants)),
+    where=st.sampled_from(["below", "on", "between", "above"]),
+    data=st.data(),
+)
+def test_tail_start_opens_the_tail_of_its_threshold(sample, where, data):
+    y = sample.y
+    j = data.draw(st.integers(0, y.size - 1))
+    if where == "below":
+        x = math.nextafter(y[0], -math.inf)
+    elif where == "above":
+        empty = "^cut-off exceeds the largest inspection time; the tail is empty$"
+        with pytest.raises(ValueError, match=empty):
+            sample.tail_start(math.nextafter(y[-1], math.inf))
+        return
+    else:
+        x = float(y[j])
+        if where == "between" and j > 0 and y[j - 1] < y[j]:
+            x = float(y[j - 1] + (y[j] - y[j - 1]) / 2)
+    i = sample.tail_start(x)
+    assert i == np.flatnonzero(y >= x)[0]
+    assert i in sample.group_start
 
 
 @CASES
