@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SortedSample, _check_count
+from .model import SortedSample, _check_count, _freeze
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,9 @@ class EstimatorTrace:
 
     ``index`` is the 1-based position (in the sorted sample) opening each
     tie group, so with continuous data it is simply 1..n.  ``tail_count`` is
-    the number of records at or above the group's threshold.
+    the number of records at or above the group's threshold.  A trace built
+    by ``trace`` is shared by every caller on its sample, so its arrays are
+    read-only.
     """
 
     n: int
@@ -84,6 +86,12 @@ class CutoffChoice:
     threshold: float
     guard: int = 1
 
+    def __post_init__(self) -> None:
+        _check_count("index", self.index, 1)
+        _check_count("guard", self.guard, 1)
+        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
+            raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
+
 
 @dataclass(frozen=True)
 class CureEstimate:
@@ -110,17 +118,26 @@ def trace(ss: SortedSample) -> EstimatorTrace:
     One backward cumulative sum serves every threshold; tie groups share a
     single entry evaluated at the group's threshold, so tied records never
     straddle a cut-off.
+
+    The trace is built once per sample: it is kept on the frozen sample, as
+    ``functools.cached_property`` keeps a value, and later calls return that
+    same read-only object.
     """
+    kept = ss.__dict__.get("_trace")
+    if kept is not None:
+        return kept
     starts = ss.group_start
     p1 = _tail_means(ss, starts)
-    return EstimatorTrace(
+    tr = EstimatorTrace(
         n=ss.n,
-        index=starts + 1,
-        y=ss.y[starts],
-        tail_count=(ss.n - starts).astype(np.int64),
-        p1=p1,
-        p2=np.maximum.accumulate(p1),
+        index=_freeze(starts + 1),
+        y=_freeze(ss.y[starts]),
+        tail_count=_freeze((ss.n - starts).astype(np.int64)),
+        p1=_freeze(p1),
+        p2=_freeze(np.maximum.accumulate(p1)),
     )
+    ss.__dict__["_trace"] = tr
+    return tr
 
 
 def _entry_for_index(tr: EstimatorTrace, index: int) -> int:
@@ -133,10 +150,17 @@ def estimate_cure(tr: EstimatorTrace, choice: CutoffChoice) -> CureEstimate:
     """Cure estimates 1 - p1 and 1 - p2 at the chosen cut-off.
 
     An index landing inside a tie run resolves to the run's threshold (tied
-    inspection times cannot straddle a cut-off), and the estimate is refused
-    when the tail there is thinner than the choice's guard.
+    inspection times cannot straddle a cut-off).  The estimate is refused
+    when the choice's threshold is not that one, since the two fields then
+    name no single cut-off, and when the tail there is thinner than the
+    choice's guard.
     """
     entry = _entry_for_index(tr, choice.index)
+    if choice.threshold != tr.y[entry]:
+        raise ValueError(
+            f"threshold {choice.threshold!r} is not {float(tr.y[entry])!r}, "
+            f"the threshold at index {choice.index}"
+        )
     m = int(tr.tail_count[entry])
     if m < choice.guard:
         raise ValueError(
@@ -157,7 +181,6 @@ def choice_at_index(
     """CutoffChoice at a 1-based sorted-sample position, resolved to the
     threshold of the tie group containing it."""
     _check_count("index", index, 1)
-    _check_count("guard", guard, 1)
     entry = _entry_for_index(tr, index)
     return CutoffChoice(
         method=method,
@@ -172,14 +195,20 @@ def plug_ins(tr: EstimatorTrace) -> PlugIns:
     average, and the tail-exponent estimate they induce.
 
     The first group's tail is the whole sample, so the overall mean is
-    ``p1[0]``; each group's p2 counts once per record in the group.
+    ``p1[0]``; each group's p2 counts once per record in the group.  Like
+    the trace, the plug-ins are computed once and kept on the frozen trace.
     """
+    kept = tr.__dict__.get("_plug_ins")
+    if kept is not None:
+        return kept
     sizes = -np.diff(np.append(tr.tail_count, 0))
     delta_bar = float(tr.p1[0])
     p2_bar = float(np.sum(tr.p2 * sizes) / tr.n)
     gap = p2_bar - delta_bar
     alpha_hat = delta_bar / gap if gap > 0 else math.nan
-    return PlugIns(delta_bar=delta_bar, p2_bar=p2_bar, alpha_hat=alpha_hat)
+    pi = PlugIns(delta_bar=delta_bar, p2_bar=p2_bar, alpha_hat=alpha_hat)
+    tr.__dict__["_plug_ins"] = pi
+    return pi
 
 
 def _variance_term(tr: EstimatorTrace, variance_stat: str) -> np.ndarray:
@@ -245,20 +274,20 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
     - entries whose variance term is exactly zero (an all-ones run at the
       top can push the degeneracy past any fixed tail-count guard).
 
-    Ties resolve to the smallest index.
+    Tail counts fall strictly along a trace, so the guarded entries are a
+    prefix of it.  Ties resolve to the smallest index.
     """
     _check_count("guard", guard, 1)
     tr = curve.trace
-    ok = tr.tail_count >= guard
-    if not np.any(ok):
+    k = int(np.count_nonzero(tr.tail_count >= guard))
+    if k == 0:
         raise ValueError(f"no thresholds have tail count >= {guard}")
-    usable = ok & (curve.variance > 0.0)
-    if not np.any(usable):
+    candidates = np.flatnonzero(curve.variance[:k] > 0.0)
+    if candidates.size == 0:
         raise ValueError(
             "every guarded threshold has a degenerate (zero) variance estimate; "
             "the objective cannot rank cut-offs on this sample"
         )
-    candidates = np.flatnonzero(usable)
     best = candidates[int(np.argmin(curve.objective[candidates]))]
     return CutoffChoice(
         method=f"cv-{curve.flavor}",

@@ -82,6 +82,9 @@ class TabulatedQuantile:
             raise ValueError("values must be finite")
         if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError("values must be nondecreasing")
+        # The tables as arrays, built once for quantile and cdf.
+        object.__setattr__(self, "_probs", _freeze(np.array(probs)))
+        object.__setattr__(self, "_values", _freeze(np.array(values)))
 
     @classmethod
     def point_mass(cls, value: float) -> "TabulatedQuantile":
@@ -96,15 +99,14 @@ class TabulatedQuantile:
         u = np.asarray(u, dtype=float)
         if not ((u >= 0.0) & (u <= 1.0)).all():
             raise ValueError("quantile argument must lie in [0, 1]")
-        out = np.interp(u, np.asarray(self.probs), np.asarray(self.values))
+        out = np.interp(u, self._probs, self._values)
         return float(out) if out.ndim == 0 else out
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        v = np.asarray(self.values)
-        q = np.asarray(self.probs)
+        v, q = self._values, self._probs
         # searchsorted(right) puts t after any flat run of equal values, so a
         # point mass jumps to the top of its probability interval.
         j = np.searchsorted(v, t, side="right")
@@ -181,7 +183,8 @@ class CurrentStatusSample:
         if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
             raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
         delta = _indicators(raw, np.int8)
-        if not np.isfinite(y).all() or (y < 0).any():
+        # A NaN carries through min and max and fails both comparisons.
+        if not (y.min() >= 0.0 and y.max() < math.inf):
             raise ValueError("inspection times must be finite and nonnegative")
         object.__setattr__(self, "delta", _freeze(delta))
         object.__setattr__(self, "y", _freeze(y))

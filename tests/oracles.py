@@ -4,8 +4,8 @@ Everything here recomputes expected values by a route different from the
 package code: adaptive quadrature for moments, golden-section search for
 argmins, an exact dynamic program (plus a brute enumerator) for
 grid-constrained likelihood maxima, the literal max-min formula for the
-shape-constrained fit, and the studentized tail statistics read off the
-full estimator trace.
+shape-constrained fit, the studentized tail statistics read off the full
+estimator trace, and the guarded cut-off argmin by full-length masks.
 """
 
 import itertools
@@ -16,7 +16,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from curest import trace
+from curest import CutoffChoice, trace
+from curest.model import _check_count
 from curest.npmle import NpmleFit, _as_indicator
 
 
@@ -67,6 +68,31 @@ def z_stats_from_trace(ss, x_n: float, p_true: float, studentization: str):
 
     root_m = math.sqrt(m)
     return scaled(root_m * (p1 - center)), scaled(root_m * (p2 - center)), m
+
+
+def select_cutoff_reference(curve, guard: int = 5) -> CutoffChoice:
+    """Guarded argmin by full-length masks: an entry is a candidate when its
+    tail count reaches ``guard`` and its variance term is positive; assumes
+    nothing about the order of the tail counts."""
+    _check_count("guard", guard, 1)
+    tr = curve.trace
+    ok = tr.tail_count >= guard
+    if not np.any(ok):
+        raise ValueError(f"no thresholds have tail count >= {guard}")
+    usable = ok & (curve.variance > 0.0)
+    if not np.any(usable):
+        raise ValueError(
+            "every guarded threshold has a degenerate (zero) variance estimate; "
+            "the objective cannot rank cut-offs on this sample"
+        )
+    candidates = np.flatnonzero(usable)
+    best = candidates[int(np.argmin(curve.objective[candidates]))]
+    return CutoffChoice(
+        method=f"cv-{curve.flavor}",
+        index=int(tr.index[best]),
+        threshold=float(tr.y[best]),
+        guard=guard,
+    )
 
 
 def event_indicator_mean(p: float, event_rate: float, inspect_rate: float) -> float:

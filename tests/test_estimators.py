@@ -1,6 +1,7 @@
 """Tail averages, plug-ins, CV objectives, and the closed-form cut-off."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from curest import (
     Exponential,
     MixtureSpec,
     PlugIns,
+    TabulatedQuantile,
     choice_at_index,
     cv_m1_curve,
     cv_m2_curve,
@@ -27,6 +29,7 @@ from curest import (
     theoretical_mn,
     trace,
 )
+from curest import estimators
 
 from oracles import event_indicator_mean, golden_argmin, mse_profile_by_quadrature
 
@@ -125,6 +128,86 @@ def test_choice_at_index_refuses_fractional_index_and_guard():
         choice_at_index(tr, 2.5)
     with pytest.raises(ValueError, match="guard must be an integer of at least 1"):
         choice_at_index(tr, 2, guard=2.5)
+
+
+@pytest.mark.parametrize("index", [2.5, 0, -1])
+def test_cutoff_choice_refuses_an_index_that_is_not_a_positive_integer(index):
+    with pytest.raises(ValueError, match="index must be an integer of at least 1"):
+        CutoffChoice("fixed-index", index, 2.0, 1)
+
+
+@pytest.mark.parametrize("guard", [0.5, 0, 2.0])
+def test_cutoff_choice_refuses_a_guard_that_is_not_a_positive_integer(guard):
+    with pytest.raises(ValueError, match="guard must be an integer of at least 1"):
+        CutoffChoice("fixed-index", 2, 2.0, guard)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0])
+def test_cutoff_choice_refuses_a_threshold_that_is_not_finite_and_nonnegative(threshold):
+    with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+        CutoffChoice("fixed-index", 2, threshold, 1)
+
+
+def test_estimate_refuses_a_threshold_other_than_its_index_group_threshold():
+    tr = trace(sorted_toy([1, 0, 1, 1], ys=[1.0, 2.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="threshold 9.0 is not 2.0, the threshold at index 2"):
+        estimate_cure(tr, CutoffChoice("fixed-index", 2, 9.0, 1))
+    with pytest.raises(ValueError, match="threshold 3.0 is not 2.0"):
+        estimate_cure(tr, CutoffChoice("fixed-index", 3, 3.0, 1))
+    # Index 3 lies inside the tie group opened at index 2, at threshold 2.
+    assert estimate_cure(tr, CutoffChoice("fixed-index", 3, 2.0, 1)).index == 2
+
+
+def study_sample():
+    """100 records inspected at three scheduled visits, so with ties."""
+    visits = TabulatedQuantile((0.0, 0.4, 0.4, 0.8, 0.8, 1.0), (1.0, 1.0, 2.0, 2.0, 3.0, 3.0))
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=visits)
+    return sort_with_concomitants(simulate(spec, 100, 7))
+
+
+def test_trace_is_built_once_per_sample():
+    ss = study_sample()
+    assert trace(ss) is trace(ss)
+
+
+def test_cv_curves_read_the_trace_of_their_sample():
+    ss = study_sample()
+    assert cv_m1_curve(ss).trace is cv_m2_curve(ss).trace is trace(ss)
+
+
+def test_plug_ins_are_computed_once_per_trace():
+    tr = trace(study_sample())
+    assert plug_ins(tr) is plug_ins(tr)
+
+
+def test_trace_arrays_are_read_only():
+    tr = trace(study_sample())
+    for name in ("index", "y", "tail_count", "p1", "p2"):
+        arr = getattr(tr, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
+
+
+def test_a_pickled_sample_unpickles_with_its_trace():
+    ss = study_sample()
+    tr = trace(ss)
+    back = pickle.loads(pickle.dumps(ss))
+    for name in ("index", "y", "tail_count", "p1", "p2"):
+        assert np.array_equal(getattr(trace(back), name), getattr(tr, name)), name
+
+
+def test_trace_and_both_cv_curves_build_one_trace(monkeypatch):
+    calls = []
+    tail_means = estimators._tail_means
+    monkeypatch.setattr(
+        estimators, "_tail_means", lambda *a: calls.append(a) or tail_means(*a)
+    )
+    ss = study_sample()
+    trace(ss)
+    cv_m1_curve(ss)
+    cv_m2_curve(ss)
+    assert len(calls) == 1
 
 
 def test_estimate_ordering_property():

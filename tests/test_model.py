@@ -168,6 +168,14 @@ def test_ties_only_take_the_argsort(monkeypatch):
     assert calls == ["stable"]
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+def test_a_bad_time_amid_valid_ones_is_refused(bad):
+    y = np.array([0.5, 1.0, 1.5, 2.0, 2.5])
+    y[2] = bad
+    with pytest.raises(ValueError, match="inspection times must be finite and nonnegative"):
+        CurrentStatusSample(delta=np.array([0, 1, 0, 1, 1]), y=y)
+
+
 def test_negative_zero_time_is_stored_as_zero():
     sample = CurrentStatusSample(delta=[1, 0], y=[-0.0, 1.0])
     assert not np.signbit(sample.y).any()

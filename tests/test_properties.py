@@ -29,7 +29,7 @@ from curest import (
 from curest._parallel import chunk_spans, replicate
 from curest.npmle import _top_indicator
 
-from oracles import maxmin_brute, z_stats_from_trace
+from oracles import maxmin_brute, select_cutoff_reference, z_stats_from_trace
 
 # Inspection times drawn mostly from a handful of values, so most samples
 # have ties, and sometimes from a continuum, so some have none.
@@ -37,6 +37,12 @@ inspection_times = st.one_of(
     st.integers(0, 5).map(float), st.floats(0.0, 10.0, allow_nan=False)
 )
 samples = st.lists(st.tuples(st.integers(0, 1), inspection_times), min_size=1, max_size=60)
+untied_samples = st.lists(
+    st.tuples(st.integers(0, 1), st.floats(0.0, 10.0, allow_nan=False)),
+    min_size=1,
+    max_size=60,
+    unique_by=lambda record: record[1],
+)
 CASES = settings(max_examples=200, deadline=None)
 FEW_CASES = settings(max_examples=100, deadline=None)
 
@@ -119,6 +125,28 @@ def test_trace_entries_are_distinct_thresholds_with_dominating_running_max(recor
     assert np.array_equal(tr.tail_count, [np.sum(ss.y >= x) for x in tr.y])
     assert np.all(tr.p2 >= tr.p1)
     assert np.all(np.diff(tr.p2) >= 0)
+
+
+def outcome(select, curve, guard):
+    try:
+        return repr(select(curve, guard=guard))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@FEW_CASES
+@given(records=st.one_of(samples, untied_samples))
+def test_select_cutoff_equals_the_mask_based_reference(records):
+    ss = sorted_sample(records)
+    for build in (cv_m1_curve, cv_m2_curve):
+        for variance_stat in ("p1", "p2"):
+            try:
+                curve = build(ss, variance_stat=variance_stat)
+            except ValueError:
+                continue  # m1 without a valid alpha_hat
+            for guard in range(1, ss.n + 2):
+                want = outcome(select_cutoff_reference, curve, guard)
+                assert outcome(select_cutoff, curve, guard) == want
 
 
 @CASES
