@@ -11,11 +11,9 @@ from .asymptotics import (
     CutoffRule,
     McConfig,
     McResult,
-    NormingConstants,
     ThinningConfig,
     ThinningStats,
     ZStatPair,
-    gumbel_norming_exponential,
     half_normal_cdf,
     ks_distance,
     run_mc,
@@ -78,7 +76,6 @@ __all__ = [
     "McConfig",
     "McResult",
     "MixtureSpec",
-    "NormingConstants",
     "NpmleFit",
     "PlugIns",
     "SortedSample",
@@ -90,7 +87,6 @@ __all__ = [
     "cv_m1_curve",
     "cv_m2_curve",
     "estimate_cure",
-    "gumbel_norming_exponential",
     "half_normal_cdf",
     "inconsistency_probe",
     "ks_distance",

@@ -32,31 +32,6 @@ class ZStatPair:
     z1: float
     z2: float
     tail_count: int
-    cutoff: float
-    studentization: str
-
-
-@dataclass(frozen=True)
-class NormingConstants:
-    """Affine constants for the largest inspection time of an exponential
-    design: with rate mu, n * P(Y > a x + b) = exp(-x) exactly, so the
-    expected tail count at the standardized threshold x is exp(-x)."""
-
-    a: float
-    b: float
-
-    def standardized(self, threshold: float) -> float:
-        return (threshold - self.b) / self.a
-
-    def mean_count(self, x: float) -> float:
-        return math.exp(-x)
-
-
-def gumbel_norming_exponential(n: int, rate: float) -> NormingConstants:
-    _check_count("n", n, 1)
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError("rate must be positive and finite")
-    return NormingConstants(a=1.0 / rate, b=math.log(n) / rate)
 
 
 def std_normal_cdf(x):
@@ -144,8 +119,6 @@ def z_stats(
         z1=_scaled(root_m * (p1 - center)),
         z2=_scaled(root_m * (p2 - center)),
         tail_count=m,
-        cutoff=x_n,
-        studentization=studentization,
     )
 
 
@@ -232,7 +205,6 @@ class McResult:
     them).
     """
 
-    config: McConfig
     rep_index: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
@@ -290,7 +262,6 @@ def run_mc(config: McConfig, workers: int = 1) -> McResult:
     ks_normal = ks_distance(f1, "std-normal") if f1.size else math.nan
     ks_half_normal = ks_distance(f2, "half-normal") if f2.size else math.nan
     return McResult(
-        config=config,
         rep_index=rep_index,
         z1=z1,
         z2=z2,
@@ -338,8 +309,6 @@ class ThinningStats:
     (1 - p) * target and p * target.
     """
 
-    n: int
-    reps: int
     target_mean: np.ndarray
     threshold: np.ndarray
     n1: np.ndarray
@@ -390,8 +359,6 @@ def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
         else:
             corr[k] = math.nan
     return ThinningStats(
-        n=n,
-        reps=reps,
         target_mean=targets,
         threshold=thresholds,
         n1=n1,

@@ -48,13 +48,15 @@ _JSON_KEYS = (
 
 
 def _write_json_summary(path: str, **fields) -> None:
+    """Write every summary key; an unavailable value, a non-finite one
+    included, is null, since strict JSON has no NaN or infinity."""
     payload = {key: None for key in _JSON_KEYS}
     for key, value in fields.items():
         if key not in payload:
             raise ValueError(f"unknown summary key {key!r}")
-        payload[key] = value
+        payload[key] = value if math.isfinite(value) else None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -19,7 +19,7 @@ theoretical mean-squared-error profile for fully exponential designs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -28,21 +28,36 @@ from .model import SortedSample, _check_count, _freeze
 
 @dataclass(frozen=True)
 class EstimatorTrace:
-    """Tail averages per distinct threshold.
+    """Tail averages per distinct threshold of one ``SortedSample``.
 
     ``index`` is the 1-based position (in the sorted sample) opening each
     tie group, so with continuous data it is simply 1..n.  ``tail_count`` is
-    the number of records at or above the group's threshold.  A trace built
-    by ``trace`` is shared by every caller on its sample, so its arrays are
-    read-only.
+    the number of records at or above the group's threshold.  ``p1`` is the
+    tail mean of the indicators there, all from one backward cumulative sum;
+    tied records share one entry, so they never straddle a cut-off.  ``p2``
+    is the running maximum of ``p1`` from the left.  ``trace`` builds one per
+    sample and shares it with every caller, so its arrays are read-only.
     """
 
-    n: int
-    index: np.ndarray
-    y: np.ndarray
-    tail_count: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
+    sample: InitVar[SortedSample]
+    n: int = field(init=False)
+    index: np.ndarray = field(init=False)
+    y: np.ndarray = field(init=False)
+    tail_count: np.ndarray = field(init=False)
+    p1: np.ndarray = field(init=False)
+    p2: np.ndarray = field(init=False)
+
+    def __post_init__(self, sample: SortedSample) -> None:
+        if not isinstance(sample, SortedSample):
+            raise TypeError(f"EstimatorTrace needs a SortedSample, got {type(sample).__name__}")
+        starts = sample.group_start
+        p1 = _tail_means(sample, starts)
+        object.__setattr__(self, "n", sample.n)
+        object.__setattr__(self, "index", _freeze(starts + 1))
+        object.__setattr__(self, "y", _freeze(sample.y[starts]))
+        object.__setattr__(self, "tail_count", _freeze((sample.n - starts).astype(np.int64)))
+        object.__setattr__(self, "p1", _freeze(p1))
+        object.__setattr__(self, "p2", _freeze(np.maximum.accumulate(p1)))
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,6 @@ class CvCurve:
     variance: np.ndarray
     bias_sq: np.ndarray
     objective: np.ndarray
-    plug_ins: PlugIns
 
 
 @dataclass(frozen=True)
@@ -112,32 +126,13 @@ def _tail_means(ss: SortedSample, opens: np.ndarray) -> np.ndarray:
 
 
 def trace(ss: SortedSample) -> EstimatorTrace:
-    """Tail mean of the indicators at each distinct threshold, plus its
-    running maximum over thresholds from the left.
-
-    One backward cumulative sum serves every threshold; tie groups share a
-    single entry evaluated at the group's threshold, so tied records never
-    straddle a cut-off.
-
-    The trace is built once per sample: it is kept on the frozen sample, as
-    ``functools.cached_property`` keeps a value, and later calls return that
-    same read-only object.
-    """
+    """The sample's ``EstimatorTrace``, built once: it is kept on the frozen
+    sample, as ``functools.cached_property`` keeps a value, and later calls
+    return that same read-only object."""
     kept = ss.__dict__.get("_trace")
-    if kept is not None:
-        return kept
-    starts = ss.group_start
-    p1 = _tail_means(ss, starts)
-    tr = EstimatorTrace(
-        n=ss.n,
-        index=_freeze(starts + 1),
-        y=_freeze(ss.y[starts]),
-        tail_count=_freeze((ss.n - starts).astype(np.int64)),
-        p1=_freeze(p1),
-        p2=_freeze(np.maximum.accumulate(p1)),
-    )
-    ss.__dict__["_trace"] = tr
-    return tr
+    if kept is None:
+        kept = ss.__dict__["_trace"] = EstimatorTrace(ss)
+    return kept
 
 
 def _entry_for_index(tr: EstimatorTrace, index: int) -> int:
@@ -222,10 +217,10 @@ def _variance_term(tr: EstimatorTrace, variance_stat: str) -> np.ndarray:
 
 
 def _cv_curve(
-    flavor: str, tr: EstimatorTrace, pi: PlugIns, variance_stat: str, bias_sq: np.ndarray
+    flavor: str, tr: EstimatorTrace, variance_stat: str, bias_sq: np.ndarray
 ) -> CvCurve:
     variance = _variance_term(tr, variance_stat)
-    return CvCurve(flavor, tr, variance, bias_sq, variance + bias_sq, pi)
+    return CvCurve(flavor, tr, variance, bias_sq, variance + bias_sq)
 
 
 def cv_m1_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
@@ -245,7 +240,7 @@ def cv_m1_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
         )
     gap = pi.p2_bar - pi.delta_bar
     return _cv_curve(
-        "m1", tr, pi, variance_stat, gap * gap * (tr.tail_count / tr.n) ** (2.0 * pi.alpha_hat)
+        "m1", tr, variance_stat, gap * gap * (tr.tail_count / tr.n) ** (2.0 * pi.alpha_hat)
     )
 
 
@@ -258,7 +253,7 @@ def cv_m2_curve(ss: SortedSample, variance_stat: str = "p1") -> CvCurve:
     tr = trace(ss)
     pi = plug_ins(tr)
     centered = tr.p2 - pi.p2_bar
-    return _cv_curve("m2", tr, pi, variance_stat, centered * centered)
+    return _cv_curve("m2", tr, variance_stat, centered * centered)
 
 
 def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
@@ -307,7 +302,7 @@ def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
     if not all(math.isfinite(r) and r > 0 for r in (event_rate, inspect_rate)):
         raise ValueError("rates must be positive and finite")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):  # NaN fails this form too
         raise ValueError("x must be nonnegative")
     lam, mu = event_rate, inspect_rate
     variance = p * (1.0 - p) / n * np.exp(mu * x)

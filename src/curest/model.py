@@ -35,11 +35,6 @@ class Exponential:
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
 
-    @property
-    def tau(self) -> float:
-        """Right endpoint of the support."""
-        return math.inf
-
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
         out = -np.expm1(-self.rate * np.maximum(t, 0.0))
@@ -91,10 +86,6 @@ class TabulatedQuantile:
         """Degenerate distribution putting all mass at ``value``."""
         return cls((0.0, 1.0), (value, value))
 
-    @property
-    def tau(self) -> float:
-        return self.values[-1]
-
     def quantile(self, u):
         u = np.asarray(u, dtype=float)
         if not ((u >= 0.0) & (u <= 1.0)).all():
@@ -111,6 +102,7 @@ class TabulatedQuantile:
         # point mass jumps to the top of its probability interval.
         j = np.searchsorted(v, t, side="right")
         out = np.where(j == 0, 0.0, 1.0)
+        out[np.isnan(t)] = math.nan  # searchsorted puts NaN past every value
         mid = (j > 0) & (j < v.size)
         jm = j[mid]
         lo_v, hi_v = v[jm - 1], v[jm]
@@ -175,7 +167,6 @@ class CurrentStatusSample:
 
     delta: np.ndarray
     y: np.ndarray
-    seed: int = 0
 
     def __post_init__(self) -> None:
         raw = np.asarray(self.delta)
@@ -275,7 +266,7 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     event_time = np.where(u_cure < spec.p, np.inf, event_time)
     y = np.asarray(spec.inspection.quantile(u_inspect), dtype=float)
     delta = (event_time <= y).astype(np.int8)
-    return CurrentStatusSample(delta=delta, y=y, seed=seed)
+    return CurrentStatusSample(delta=delta, y=y)
 
 
 def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:

@@ -12,7 +12,6 @@ from curest import (
     McConfig,
     MixtureSpec,
     TabulatedQuantile,
-    gumbel_norming_exponential,
     half_normal_cdf,
     ks_distance,
     run_mc,
@@ -131,28 +130,6 @@ def test_ks_critical_value_battery():
         below_half += ks_distance(np.abs(rng.standard_normal(2000)), "half-normal") <= crit
     assert below_normal >= 396
     assert below_half >= 396
-
-
-def test_gumbel_norming_identity():
-    for n in (10, 100, 5000):
-        for mu in (0.5, 1.0, 2.0):
-            nc = gumbel_norming_exponential(n, mu)
-            assert nc.a == pytest.approx(1.0 / mu, abs=1e-15)
-            assert nc.b == pytest.approx(math.log(n) / mu, abs=1e-12)
-            for x in np.linspace(-2.0, 4.0, 13):
-                lhs = n * math.exp(-mu * (nc.a * x + nc.b))
-                assert lhs == pytest.approx(math.exp(-x), rel=1e-12)
-    assert gumbel_norming_exponential(100, 1.0).b == pytest.approx(
-        4.605170185988092, abs=1e-12
-    )
-
-
-def test_gumbel_standardized_cutoff_mean_count():
-    n, mu = 10_000, 1.0
-    nc = gumbel_norming_exponential(n, mu)
-    x_std = nc.standardized(math.log(n) / (2.0 * mu))
-    assert x_std == pytest.approx(-math.log(n) / 2.0, rel=1e-12)
-    assert nc.mean_count(x_std) == pytest.approx(math.sqrt(n), rel=1e-12)
 
 
 def test_run_mc_single_replication_matches_z_stats():

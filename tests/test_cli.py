@@ -5,10 +5,12 @@ import json
 import math
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
 
+import curest
 from curest import cli, estimators
 from curest import read_csv, simulate, sort_with_concomitants, write_csv, z_stats
 from curest import Exponential, MixtureSpec
@@ -314,6 +316,26 @@ def test_mc_csv_and_summary(tmp_path):
     assert payload["pHat1"] is None
 
 
+def test_mc_summary_writes_unavailable_values_as_null(tmp_path):
+    # Every replication is skipped, so no KS distance exists; strict JSON
+    # has no NaN, so the summary holds null there.
+    summary = tmp_path / "mc.json"
+    res = run_cli(
+        "mc", "--p", "0.3", "--f-rate", "2", "--g-rate", "1",
+        "--n", "50", "--reps", "3", "--cutoff", "fixed-x", "--cutoff-x", "1e9",
+        "--out", str(tmp_path / "mc.csv"), "--json-summary", str(summary), "--threads", "1",
+    )
+    assert res.returncode == 0, res.stderr
+    assert "retained=0 skipped=3" in res.stdout
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(summary.read_text(), parse_constant=refuse)
+    assert set(payload) == JSON_KEYS
+    assert all(value is None for value in payload.values())
+
+
 def test_mc_single_rep_matches_library(tmp_path):
     out = tmp_path / "mc.csv"
     res = run_cli(
@@ -502,3 +524,13 @@ def test_cli_import_does_not_load_scipy_stats():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def test_all_lists_exactly_the_public_names_curest_binds():
+    bound = {
+        name
+        for name, value in vars(curest).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(curest.__all__) == bound
+    assert len(curest.__all__) == len(bound)

@@ -13,13 +13,11 @@ from curest import (
     EstimatorTrace,
     Exponential,
     MixtureSpec,
-    PlugIns,
     TabulatedQuantile,
     choice_at_index,
     cv_m1_curve,
     cv_m2_curve,
     estimate_cure,
-    gumbel_norming_exponential,
     npmle_pava,
     plug_ins,
     select_cutoff,
@@ -189,6 +187,17 @@ def test_trace_arrays_are_read_only():
             arr[0] = arr[-1]
 
 
+def test_a_trace_is_built_only_from_a_sorted_sample():
+    with pytest.raises(TypeError):  # falling tail counts cannot be broken by hand
+        EstimatorTrace(n=7, index=np.array([6, 2, 1]), tail_count=np.array([2, 6, 7]))
+    with pytest.raises(TypeError, match="needs a SortedSample"):
+        EstimatorTrace(np.arange(3))
+    ss = sorted_toy([1, 0, 1, 1], ys=[1.0, 2.0, 2.0, 3.0])
+    tr = EstimatorTrace(ss)
+    for name in ("index", "y", "tail_count", "p1", "p2"):
+        assert np.array_equal(getattr(tr, name), getattr(trace(ss), name)), name
+
+
 def test_a_pickled_sample_unpickles_with_its_trace():
     ss = study_sample()
     tr = trace(ss)
@@ -315,30 +324,21 @@ def test_m2_bias_is_squared_centering():
     assert np.allclose(curve.bias_sq, (tr.p2 - pi.p2_bar) ** 2, atol=1e-15)
 
 
-def make_curve(tail_count, variance, bias_sq):
-    tail_count = np.asarray(tail_count)
+def make_curve(n, variance, bias_sq):
+    """A curve with the given terms on the trace of an untied sample of n
+    records, whose tail counts are n..1."""
     variance = np.asarray(variance, dtype=float)
     bias_sq = np.asarray(bias_sq, dtype=float)
-    n = int(tail_count[0])
-    index = n + 1 - tail_count
-    p1 = np.full(index.size, 0.5)
-    tr = EstimatorTrace(
-        n=n, index=index, y=np.arange(1.0, index.size + 1.0), tail_count=tail_count, p1=p1, p2=p1
-    )
+    tr = trace(sorted_toy(np.arange(n) % 2))
     return CvCurve(
-        flavor="m2",
-        trace=tr,
-        variance=variance,
-        bias_sq=bias_sq,
-        objective=variance + bias_sq,
-        plug_ins=PlugIns(delta_bar=0.5, p2_bar=0.7, alpha_hat=2.0),
+        flavor="m2", trace=tr, variance=variance, bias_sq=bias_sq, objective=variance + bias_sq
     )
 
 
 def test_select_convex_curve_interior_argmin():
     idx = np.arange(1.0, 21.0)
     curve = make_curve(
-        tail_count=np.arange(20, 0, -1),
+        20,
         variance=0.01 * np.ones(20),
         bias_sq=(idx - 12.0) ** 2 / 100.0,
     )
@@ -350,7 +350,7 @@ def test_select_guard_excludes_extreme_minimum():
     variance[-1] = 0.0  # degenerate single-record tail
     bias = np.full(10, 0.02)
     bias[4] = 0.0  # interior local (and guarded global) minimum
-    curve = make_curve(np.arange(10, 0, -1), variance, bias)
+    curve = make_curve(10, variance, bias)
     pick = select_cutoff(curve, guard=5)
     assert pick.index == 5
     tr = curve.trace
@@ -358,7 +358,7 @@ def test_select_guard_excludes_extreme_minimum():
 
 
 def test_select_tie_breaks_toward_smaller_index():
-    curve = make_curve(np.arange(12, 0, -1), np.full(12, 0.01), np.zeros(12))
+    curve = make_curve(12, np.full(12, 0.01), np.zeros(12))
     assert select_cutoff(curve, guard=1).index == 1
 
 
@@ -370,19 +370,19 @@ def test_select_skips_zero_variance_candidates():
     bias = np.full(12, 0.01)
     bias[6] = 1e-9
     bias[3] = 0.0
-    curve = make_curve(np.arange(12, 0, -1), variance, bias)
+    curve = make_curve(12, variance, bias)
     assert select_cutoff(curve, guard=5).index == 4
 
 
 def test_select_error_cases():
-    curve = make_curve(np.arange(4, 0, -1), np.full(4, 0.01), np.zeros(4))
+    curve = make_curve(4, np.full(4, 0.01), np.zeros(4))
     with pytest.raises(ValueError):
         select_cutoff(curve, guard=5)  # nothing passes the tail guard
     with pytest.raises(ValueError):
         select_cutoff(curve, guard=0)
     with pytest.raises(ValueError, match="guard must be an integer of at least 1"):
         select_cutoff(curve, guard=2.5)
-    degenerate = make_curve(np.arange(8, 0, -1), np.zeros(8), np.full(8, 0.01))
+    degenerate = make_curve(8, np.zeros(8), np.full(8, 0.01))
     with pytest.raises(ValueError, match="degenerate"):
         select_cutoff(degenerate, guard=5)
 
@@ -411,6 +411,9 @@ def test_theoretical_mn_diverges():
 def test_theoretical_mn_rejects_bad_inputs():
     with pytest.raises(ValueError):
         theoretical_mn(-0.5, n=100, p=0.3, event_rate=2.0, inspect_rate=1.0)
+    for x in (math.nan, [0.5, math.nan]):
+        with pytest.raises(ValueError, match="x must be nonnegative"):
+            theoretical_mn(x, n=100, p=0.3, event_rate=2.0, inspect_rate=1.0)
     with pytest.raises(ValueError):
         theoretical_mn(0.5, n=100, p=1.3, event_rate=2.0, inspect_rate=1.0)
     with pytest.raises(ValueError):
@@ -471,9 +474,8 @@ def test_estimate_at_fixed_choice_object():
         lambda r: theoretical_mn(0.5, n=100, p=0.3, event_rate=2.0, inspect_rate=r),
         lambda r: theoretical_cutoff_exponential(100, 0.3, r, 1.0),
         lambda r: theoretical_cutoff_exponential(100, 0.3, 2.0, r),
-        lambda r: gumbel_norming_exponential(100, r),
     ],
-    ids=["mn-event", "mn-inspect", "cutoff-event", "cutoff-inspect", "gumbel"],
+    ids=["mn-event", "mn-inspect", "cutoff-event", "cutoff-inspect"],
 )
 def test_exponential_closed_forms_reject_bad_rates(call, rate):
     with pytest.raises(ValueError, match="rate"):
@@ -486,9 +488,8 @@ def test_exponential_closed_forms_reject_bad_rates(call, rate):
     [
         lambda n: theoretical_mn(1.0, n=n, p=0.3, event_rate=2.0, inspect_rate=1.0),
         lambda n: theoretical_cutoff_exponential(n, 0.3, 2.0, 1.0),
-        lambda n: gumbel_norming_exponential(n, 1.0),
     ],
-    ids=["mn", "cutoff", "gumbel"],
+    ids=["mn", "cutoff"],
 )
 def test_exponential_closed_forms_refuse_a_count_that_is_not_an_integer(call, n):
     with pytest.raises(ValueError, match="n must be an integer of at least 1"):

@@ -36,7 +36,6 @@ def test_exponential_round_trip():
 def test_exponential_cdf_shape():
     dist = Exponential(1.5)
     assert dist.cdf(0.0) == 0.0
-    assert dist.tau == math.inf
     ts = np.linspace(0.0, 10.0, 101)
     vals = dist.cdf(ts)
     assert np.all(np.diff(vals) >= 0)
@@ -59,13 +58,21 @@ def test_quantile_refuses_arguments_outside_the_unit_interval(dist, u):
         dist.quantile(u)
 
 
+@pytest.mark.parametrize(
+    "dist", [Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))]
+)
+def test_cdf_of_nan_is_nan(dist):
+    assert math.isnan(dist.cdf(math.nan))
+    out = dist.cdf([math.nan, 0.5, math.inf])
+    assert math.isnan(out[0]) and 0.0 < out[1] < 1.0 and out[2] == 1.0
+
+
 def test_tabulated_point_mass():
     dist = TabulatedQuantile.point_mass(3.0)
     assert dist.quantile(0.01) == 3.0
     assert dist.quantile(0.99) == 3.0
     assert dist.cdf(2.999) == 0.0
     assert dist.cdf(3.0) == 1.0
-    assert dist.tau == 3.0
 
 
 def test_tabulated_cdf_is_right_continuous_generalized_inverse():

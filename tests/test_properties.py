@@ -18,6 +18,7 @@ from curest import (
     cv_m2_curve,
     estimate_cure,
     npmle_pava,
+    plug_ins,
     read_csv,
     select_cutoff,
     simulate,
@@ -93,7 +94,7 @@ def derived(ss):
             out.append(str(exc))
             continue
         out += [a.tobytes() for a in (curve.variance, curve.bias_sq, curve.objective)]
-        out.append(repr(curve.plug_ins))
+        out.append(repr(plug_ins(curve.trace)))
         for guard in (1, 5):
             try:
                 choice = select_cutoff(curve, guard=guard)
