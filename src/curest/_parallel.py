@@ -28,7 +28,8 @@ def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
     spans = chunk_spans(reps, workers)
     if workers == 1 or len(spans) == 1:
         return [fn(*args, a, b) for a, b in spans]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # No more processes than spans: a forking pool starts all of them at once.
+    with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
         futures = [pool.submit(fn, *args, a, b) for a, b in spans]
         return [f.result() for f in futures]
 

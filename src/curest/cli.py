@@ -127,6 +127,19 @@ def cmd_estimate(args) -> int:
     parser = args.parser
     if not 0.0 < args.alpha < 1.0:
         parser.error("--alpha must lie strictly inside (0, 1)")
+    # A flag the method does not use is refused, not silently ignored.
+    uses = {
+        "fixed-index": ("--index",),
+        "fixed-quantile": ("--quantile",),
+        "theoretical-exp": ("--p", "--f-rate", "--g-rate"),
+    }.get(args.method, ())
+    given = {
+        "--index": args.index, "--quantile": args.quantile,
+        "--p": args.p, "--f-rate": args.f_rate, "--g-rate": args.g_rate,
+    }
+    for flag, value in given.items():
+        if flag not in uses and value is not None:
+            parser.error(f"--method {args.method} takes no {flag}")
     if args.method == "fixed-index" and args.index is None:
         parser.error("--method fixed-index needs --index")
     if args.method == "fixed-quantile" and (
@@ -392,7 +405,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -71,6 +71,9 @@ class TabulatedQuantile:
             raise ValueError("probs and values must have equal length >= 2")
         if probs[0] != 0.0 or probs[-1] != 1.0:
             raise ValueError("probs must start at 0 and end at 1")
+        # A NaN compares False both ways, so the order check cannot see it.
+        if any(not math.isfinite(u) for u in probs):
+            raise ValueError("probs must be finite")
         if any(a > b for a, b in zip(probs, probs[1:])):
             raise ValueError("probs must be nondecreasing")
         if any(not math.isfinite(v) for v in values):

@@ -1,6 +1,14 @@
-"""End-to-end command-line behavior via subprocess round trips."""
+"""End-to-end command-line behavior.
 
+``run_cli`` drives ``cli.main`` in the test process, so the CLI runs under
+the suite's warning filters and pays no interpreter start-up.  A subprocess
+is kept only where the process is what is tested: the exit codes of
+``python -m curest`` and what importing the CLI loads.
+"""
+
+import contextlib
 import csv
+import io
 import json
 import math
 import subprocess
@@ -29,11 +37,15 @@ JSON_KEYS = {
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "curest", *args],
-        capture_output=True,
-        text=True,
-    )
+    """Run ``cli.main`` on ``args`` and return what a process would: the
+    exit code (argparse exits through ``SystemExit``), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
 
 
 def write_toy(path, rows):
@@ -128,7 +140,7 @@ def test_trace_writes_a_negative_zero_time_as_zero(tmp_path):
     data = tmp_path / "toy.csv"
     write_toy(data, [(1, "-0"), (0, 2.0)])
     out = tmp_path / "trace.csv"
-    assert cli.main(["trace", "--data", str(data), "--out", str(out)]) == 0
+    assert run_cli("trace", "--data", str(data), "--out", str(out)).returncode == 0
     assert [r["y"] for r in read_rows(out)] == ["0", "2"]
 
 
@@ -260,6 +272,20 @@ def test_estimate_method_flag_requirements(tmp_path):
     res = run_cli("estimate", "--data", str(data), "--method", "theoretical-exp")
     assert res.returncode == 2
     assert "--p" in res.stderr
+    # a flag the method does not use is refused, not silently ignored; each
+    # of these runs to exit 0 without its stray flag
+    theoretical = ["--p", "0.3", "--f-rate", "2", "--g-rate", "1"]
+    for method, flags, stray in [
+        ("cv-m2", ["--guard", "1", "--index", "5"], "--index"),
+        ("cv-m1", ["--guard", "1", "--g-rate", "1"], "--g-rate"),
+        ("fixed-index", ["--index", "2", "--p", "0.3"], "--p"),
+        ("fixed-index", ["--index", "2", "--f-rate", "2"], "--f-rate"),
+        ("fixed-quantile", ["--quantile", "0.5", "--index", "7"], "--index"),
+        ("theoretical-exp", [*theoretical, "--quantile", "0.5"], "--quantile"),
+    ]:
+        res = run_cli("estimate", "--data", str(data), "--method", method, *flags)
+        assert res.returncode == 2
+        assert res.stderr.splitlines()[-1].endswith(f"--method {method} takes no {stray}")
 
 
 def test_estimate_theoretical_warns_about_oracle_parameters(tmp_path):
@@ -407,30 +433,28 @@ def test_nonfinite_parameters_are_usage_errors(tmp_path, command, flag, value):
         ("fixed-tail", ["--tail-count", "3", "--cutoff-x", "1"], "--cutoff-x"),
     ],
 )
-def test_mc_refuses_a_flag_its_cutoff_does_not_use(tmp_path, capsys, cutoff, flags, named):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([
-            "mc", "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "50",
-            "--reps", "1", "--threads", "1", "--out", str(tmp_path / "x.csv"),
-            "--cutoff", cutoff, *flags,
-        ])
-    assert exc.value.code == 2
-    assert f"{named}: {cutoff} rule takes no" in capsys.readouterr().err
+def test_mc_refuses_a_flag_its_cutoff_does_not_use(tmp_path, cutoff, flags, named):
+    res = run_cli(
+        "mc", "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "50",
+        "--reps", "1", "--threads", "1", "--out", str(tmp_path / "x.csv"),
+        "--cutoff", cutoff, *flags,
+    )
+    assert res.returncode == 2
+    assert f"{named}: {cutoff} rule takes no" in res.stderr
     assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "mc", "thinning"])
-def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+def test_negative_seed_is_usage_error(tmp_path, command):
     flags = [
         "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "50",
         "--seed", "-1", "--out", str(tmp_path / "x.csv"),
     ]
     if command != "simulate":
         flags += ["--reps", "1", "--threads", "1"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main([command, *flags])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err.splitlines()[-1]
+    res = run_cli(command, *flags)
+    assert res.returncode == 2
+    assert "--seed" in res.stderr.splitlines()[-1]
 
 
 @pytest.mark.parametrize("method", ["cv-m1", "cv-m2"])
@@ -447,7 +471,7 @@ def test_estimate_cv_builds_the_trace_once(tmp_path, monkeypatch, method):
 
     monkeypatch.setattr(estimators, "trace", counted)
     monkeypatch.setattr(cli, "trace", counted)
-    assert cli.main(["estimate", "--data", str(data), "--method", method]) == 0
+    assert run_cli("estimate", "--data", str(data), "--method", method).returncode == 0
     assert len(builds) == 1
 
 
@@ -478,15 +502,14 @@ def test_thinning_zero_reps_is_usage_error(tmp_path):
 
 
 @pytest.mark.parametrize("target", ["0", "nan", "100.5"])
-def test_thinning_target_mean_is_usage_error(tmp_path, capsys, target):
+def test_thinning_target_mean_is_usage_error(tmp_path, target):
     flags = [
         "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "100", "--reps", "1",
         "--target-mean", "20", target, "--threads", "1", "--out", str(tmp_path / "x.csv"),
     ]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["thinning", *flags])
-    assert exc.value.code == 2
-    assert "--target-mean" in capsys.readouterr().err.splitlines()[-1]
+    res = run_cli("thinning", *flags)
+    assert res.returncode == 2
+    assert "--target-mean" in res.stderr.splitlines()[-1]
 
 
 def test_cli_outputs_reparse_losslessly(tmp_path):
@@ -515,6 +538,21 @@ def test_usage_errors():
 
 def test_missing_input_file_is_runtime_error(tmp_path):
     res = run_cli("trace", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o.csv"))
+    assert res.returncode == 3
+    assert "error:" in res.stderr
+
+
+def test_python_m_curest_exits_with_the_code_main_returns(tmp_path):
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "curest", *args], capture_output=True, text=True
+        )
+
+    help_res = run("--help")
+    assert help_res.returncode == 0
+    assert "simulate" in help_res.stdout
+    assert run().returncode == 2
+    res = run("trace", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 3
     assert "error:" in res.stderr
 

@@ -84,6 +84,22 @@ def test_tabulated_cdf_is_right_continuous_generalized_inverse():
         assert abs(dist.cdf(dist.quantile(u)) - u) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "probs, values, message",
+    [
+        ((0.0, 1.0), (0.0, 1.0, 2.0), "equal length"),
+        ((0.1, 1.0), (0.0, 1.0), "start at 0 and end at 1"),
+        ((0.0, 0.6, 0.4, 1.0), (0.0, 1.0, 2.0, 3.0), "probs must be nondecreasing"),
+        ((0.0, math.nan, 1.0), (0.5, 1.0, 2.0), "probs must be finite"),
+        ((0.0, 1.0), (0.0, math.inf), "values must be finite"),
+        ((0.0, 0.5, 1.0), (0.0, 2.0, 1.0), "values must be nondecreasing"),
+    ],
+)
+def test_tabulated_quantile_refuses_a_bad_table(probs, values, message):
+    with pytest.raises(ValueError, match=message):
+        TabulatedQuantile(probs, values)
+
+
 def test_mixture_spec_validates_p():
     with pytest.raises(ValueError):
         MixtureSpec(p=-0.1, event=Exponential(1.0), inspection=Exponential(1.0))

@@ -3,6 +3,7 @@ NPMLE and the CSV format, checked on generated inputs."""
 
 import math
 import tempfile
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from curest import (
     write_csv,
     z_stats,
 )
+from curest import _parallel
 from curest._parallel import chunk_spans, replicate
 from curest.npmle import _top_indicator
 
@@ -162,6 +164,29 @@ def test_chunk_spans_split_the_replications_in_order(reps, workers):
 def test_chunk_spans_refuses_fractional_reps():
     with pytest.raises(ValueError, match="reps must be an integer of at least 1"):
         chunk_spans(2.5, 1)
+
+
+def test_the_pool_has_no_more_workers_than_chunks(monkeypatch):
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", InlinePool)
+    assert _parallel.map_replication_chunks(max, (), 2, 64) == [1, 2]
+    assert asked == [2]
 
 
 @FEW_CASES
