@@ -8,8 +8,6 @@ never depend on the worker count.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 from .model import _check_count, simulate
 
 
@@ -28,6 +26,8 @@ def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
     spans = chunk_spans(reps, workers)
     if workers == 1 or len(spans) == 1:
         return [fn(*args, a, b) for a, b in spans]
+    from concurrent.futures import ProcessPoolExecutor  # here: one worker needs no pool
+
     # No more processes than spans: a forking pool starts all of them at once.
     with ProcessPoolExecutor(max_workers=min(workers, len(spans))) as pool:
         futures = [pool.submit(fn, *args, a, b) for a, b in spans]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import erf
 
 from ._parallel import replicate
 from .estimators import _tail_means, theoretical_cutoff_exponential
@@ -36,6 +35,8 @@ class ZStatPair:
 
 def std_normal_cdf(x):
     """Phi(x) = (1 + erf(x / sqrt 2)) / 2."""
+    from scipy.special import erf  # here, so that importing curest loads no scipy
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * (1.0 + erf(x / _SQRT2))
     return float(out) if out.ndim == 0 else out
@@ -159,18 +160,17 @@ class CutoffRule:
         if self.kind == "fixed-x":
             return float(self.x)
         if self.kind == "optimal":
-            if not (
-                isinstance(spec.event, Exponential)
-                and isinstance(spec.inspection, Exponential)
-            ):
-                raise ValueError("optimal cut-off needs exponential event and inspection laws")
-            return theoretical_cutoff_exponential(
-                n, spec.p, spec.event.rate, spec.inspection.rate
-            )
+            return _optimal_cutoff(spec, n)
         if self.kind == "undersmoothed":
             return float(spec.inspection.quantile(1.0 - 1.0 / math.sqrt(n)))
         m = min(self.tail, n)
         return float(ss.y[n - m])
+
+
+def _optimal_cutoff(spec: MixtureSpec, n: int) -> float:
+    if not (isinstance(spec.event, Exponential) and isinstance(spec.inspection, Exponential)):
+        raise ValueError("optimal cut-off needs exponential event and inspection laws")
+    return theoretical_cutoff_exponential(n, spec.p, spec.event.rate, spec.inspection.rate)
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,10 @@ class McConfig:
             raise ValueError("Monte Carlo centering needs 0 < p < 1")
         if self.studentization not in ("known-p", "plug-in"):
             raise ValueError("studentization must be 'known-p' or 'plug-in'")
+        if self.cutoff.kind == "optimal":
+            # It depends on the design alone, so a design it refuses is
+            # refused here, before any replication runs.
+            _optimal_cutoff(self.spec, self.n)
 
 
 @dataclass(frozen=True)

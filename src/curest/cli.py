@@ -18,7 +18,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import ndtri
 
 from .asymptotics import CutoffRule, McConfig, ThinningConfig, run_mc, thinning_check
 from .estimators import (
@@ -73,6 +72,13 @@ def _mixture(args) -> MixtureSpec:
     event = _checked(args, "--f-rate", Exponential, args.f_rate)
     inspection = _checked(args, "--g-rate", Exponential, args.g_rate)
     return _checked(args, "--p", MixtureSpec, args.p, event, inspection)
+
+
+def _closed_form_flags(spec: MixtureSpec) -> str:
+    """The flags to name when the optimal cut-off's closed form refuses a
+    valid mixture: p at 0 or 1, else rates that put it past the largest
+    float."""
+    return "--p" if not 0.0 < spec.p < 1.0 else "--f-rate/--g-rate"
 
 
 def cmd_simulate(args) -> int:
@@ -170,16 +176,16 @@ def cmd_estimate(args) -> int:
                 "(--p/--f-rate/--g-rate), not the data",
                 file=sys.stderr,
             )
-            # With the rates and n already valid, only p outside (0, 1) is
-            # left for the closed form to reject.
             x_star = _checked(
-                args, "--p", theoretical_cutoff_exponential,
+                args, _closed_form_flags(spec), theoretical_cutoff_exponential,
                 tr.n, spec.p, spec.event.rate, spec.inspection.rate,
             )
             pos = ss.tail_start(x_star) + 1
         choice = choice_at_index(tr, pos, method=args.method, guard=guard)
 
     est = estimate_cure(tr, choice)
+    from scipy.special import ndtri  # here, so that only estimate pays for scipy
+
     z = float(ndtri(1.0 - args.alpha / 2.0))
     center = 1.0 - est.p_hat1
     half = z * math.sqrt(est.p_hat1 * (1.0 - est.p_hat1)) / math.sqrt(est.tail_count)
@@ -216,10 +222,11 @@ def cmd_mc(args) -> int:
     stray = [f for f, value in given.items() if f != own and value is not None]
     flag = stray[0] if stray else own or "--cutoff"
     rule = _checked(args, flag, CutoffRule, args.cutoff, args.cutoff_x, args.tail_count)
-    # The count flags and the choices are checked by argparse, so the only
-    # value McConfig can still reject is p at 0 or 1.
+    # The count flags and the choices are checked by argparse, so McConfig
+    # can still reject only p at 0 or 1 and the optimal cut-off's rates.
     config = _checked(
-        args, "--p", McConfig, spec, args.n, args.reps, args.seed, rule, args.studentization
+        args, _closed_form_flags(spec), McConfig,
+        spec, args.n, args.reps, args.seed, rule, args.studentization,
     )
     res = run_mc(config, workers=args.threads)
     write_table(args.out, "rep,z1,z2", (res.rep_index, res.z1, res.z2))

@@ -120,9 +120,14 @@ class CureEstimate:
 
 def _tail_means(ss: SortedSample, opens: np.ndarray) -> np.ndarray:
     """Mean of the indicators from each sorted position in ``opens`` to the
-    end: one backward integer cumulative sum divided by the tail counts."""
-    suffix = np.cumsum(ss.delta[::-1].astype(np.int64))[::-1]
-    return suffix[opens] / (ss.n - opens)
+    end: one backward cumulative sum divided by the tail counts.  The sums
+    are whole numbers, exact in float64, so each mean is the same double as
+    an integer sum over an integer count."""
+    n = ss.n
+    means = ss.delta[::-1].astype(np.float64)
+    np.cumsum(means, out=means)
+    means /= np.arange(1.0, n + 1.0)
+    return means[n - 1 - opens]
 
 
 def trace(ss: SortedSample) -> EstimatorTrace:
@@ -311,6 +316,11 @@ def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
     return float(out) if out.ndim == 0 else out
 
 
+# Within these magnitudes of the rates, p and n every term of the closed
+# form below is a normal float: nothing overflows, underflows or rounds to 0.
+_PLAIN_LO, _PLAIN_HI = 2.0**-150, 2.0**150
+
+
 def theoretical_cutoff_exponential(
     n: int, p: float, event_rate: float, inspect_rate: float
 ) -> float:
@@ -321,7 +331,8 @@ def theoretical_cutoff_exponential(
     x_n = log(2 lam (1-p) mu n / (p (lam+mu)^2)) / (mu + 2 lam),
     clamped to 0 when the log argument is <= 1 (variance already dominates
     at the origin).  The expected tail count there grows like
-    n^(2 lam / (mu + 2 lam)).
+    n^(2 lam / (mu + 2 lam)).  Beyond ordinary magnitudes the same formula
+    is taken in logs, and a cut-off past the largest float is refused.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
@@ -329,7 +340,22 @@ def theoretical_cutoff_exponential(
     if not all(math.isfinite(r) and r > 0 for r in (event_rate, inspect_rate)):
         raise ValueError("rates must be positive and finite")
     lam, mu = event_rate, inspect_rate
-    arg = 2.0 * lam * (1.0 - p) * mu * n / (p * (lam + mu) ** 2)
-    if arg <= 1.0:
+    if all(_PLAIN_LO < v < _PLAIN_HI for v in (lam, mu, p, n)):
+        arg = 2.0 * lam * (1.0 - p) * mu * n / (p * (lam + mu) ** 2)
+        if arg <= 1.0:
+            return 0.0
+        return math.log(arg) / (mu + 2.0 * lam)
+    # lam mu / (lam + mu)^2 = r / (1 + r)^2 with r = small / big <= 1.
+    small, big = sorted((lam, mu))
+    log_arg = (
+        math.log(2.0) + math.log(n) + math.log1p(-p) - math.log(p)
+        + math.log(small) - math.log(big) - 2.0 * math.log1p(small / big)
+    )
+    if log_arg <= 0.0:
         return 0.0
-    return math.log(arg) / (mu + 2.0 * lam)
+    # mu + 2 lam = big * d with d in [1, 3]: dividing by d first leaves one
+    # rounding that overflows only when the cut-off itself does.
+    x = log_arg / (mu / big + 2.0 * (lam / big)) / big
+    if math.isinf(x):
+        raise ValueError("the optimal cut-off for these rates exceeds the largest float")
+    return x

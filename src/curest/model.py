@@ -266,9 +266,9 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     u_event = rng.random(n)
     u_inspect = rng.random(n)
     event_time = np.asarray(spec.event.quantile(u_event), dtype=float)
-    event_time = np.where(u_cure < spec.p, np.inf, event_time)
     y = np.asarray(spec.inspection.quantile(u_inspect), dtype=float)
-    delta = (event_time <= y).astype(np.int8)
+    # A cured subject (u_cure < p) never has the event.
+    delta = ((u_cure >= spec.p) & (event_time <= y)).view(np.int8)
     return CurrentStatusSample(delta=delta, y=y)
 
 

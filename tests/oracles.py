@@ -162,6 +162,17 @@ def golden_argmin_hp(fn, lo, hi, tol: float = 1e-12) -> float:
         return float((a + b) / 2)
 
 
+def optimal_cutoff_hp(n: int, p: float, event_rate: float, inspect_rate: float):
+    """The closed-form optimal cut-off, log(arg) / (mu + 2 lam) clamped at 0
+    with arg = 2 lam (1 - p) mu n / (p (lam + mu)^2), in 60-digit arithmetic,
+    where no rate overflows or underflows; returned as an mpmath float, so a
+    value past the largest double stays visible."""
+    with mpmath.workdps(60):
+        lam, mu, p = mpmath.mpf(event_rate), mpmath.mpf(inspect_rate), mpmath.mpf(p)
+        arg = 2 * lam * (1 - p) * mu * n / (p * (lam + mu) ** 2)
+        return mpmath.log(arg) / (mu + 2 * lam) if arg > 1 else mpmath.mpf(0)
+
+
 def _term(delta: int, v: float) -> float:
     # 0*log 0 = 0 convention; impossible configurations go to -inf
     if delta == 1:

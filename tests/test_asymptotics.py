@@ -218,6 +218,12 @@ def test_mc_config_validation():
     spec = MixtureSpec(p=0.0, event=Exponential(2.0), inspection=Exponential(1.0))
     with pytest.raises(ValueError):
         McConfig(spec=spec, n=10, reps=5, seed=0, cutoff=CutoffRule(kind="fixed-x", x=1.0))
+    # The optimal cut-off depends on the design alone, so it is refused here.
+    mixed = MixtureSpec(
+        p=0.3, event=TabulatedQuantile.point_mass(1.0), inspection=Exponential(1.0)
+    )
+    with pytest.raises(ValueError, match="optimal cut-off needs exponential"):
+        McConfig(spec=mixed, n=10, reps=5, seed=0, cutoff=CutoffRule(kind="optimal"))
 
 
 def _mc_config(**change):

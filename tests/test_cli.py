@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import curest
-from curest import cli, estimators
+from curest import asymptotics, cli, estimators
 from curest import read_csv, simulate, sort_with_concomitants, write_csv, z_stats
 from curest import Exponential, MixtureSpec
 
@@ -302,6 +302,38 @@ def test_estimate_theoretical_warns_about_oracle_parameters(tmp_path):
     assert "oracle design parameters" in res.stderr
 
 
+def test_an_optimal_cutoff_past_the_largest_float_is_usage_error(tmp_path, monkeypatch):
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(asymptotics, "replicate", no_replication)
+    data = tmp_path / "toy.csv"
+    write_toy(data, [(1, 1.0), (0, 2.0), (1, 3.0)])
+    design = ["--p", "0.3", "--f-rate", "1e-320", "--g-rate", "1e-320"]
+    mc = [
+        "mc", *design, "--n", "10", "--reps", "2", "--threads", "1",
+        "--cutoff", "optimal", "--out", str(tmp_path / "m.csv"),
+    ]
+    estimate = ["estimate", "--data", str(data), "--method", "theoretical-exp", *design]
+    for argv in (mc, estimate):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stderr.splitlines()[-1].endswith(
+            "--f-rate/--g-rate: the optimal cut-off for these rates exceeds the largest float"
+        )
+
+
+def test_an_optimal_cutoff_at_an_extreme_rate_runs(tmp_path):
+    # (lam + mu) ** 2 once overflowed here; the cut-off is 0.
+    res = run_cli(
+        "mc", "--p", "0.3", "--f-rate", "2", "--g-rate", "1e300", "--n", "10",
+        "--reps", "2", "--threads", "1", "--cutoff", "optimal",
+        "--out", str(tmp_path / "m.csv"),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("reps=2 retained=2 ")
+
+
 def test_estimate_empty_tail_is_runtime_error(tmp_path):
     data = tmp_path / "toy.csv"
     # all inspection times below the theoretical cut-off for these parameters
@@ -562,6 +594,15 @@ def test_cli_import_does_not_load_scipy_stats():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+    # Nor any scipy module or the process pool: the calls that use them
+    # import them.
+    code = (
+        "import sys, curest, curest.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_all_lists_exactly_the_public_names_curest_binds():

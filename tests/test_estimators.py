@@ -439,6 +439,18 @@ def test_cutoff_first_order_balance():
     assert abs(mu * var_term - 2.0 * lam * bias_sq) <= 1e-9
 
 
+def _cutoff_as_written(n, p, lam, mu):
+    arg = 2.0 * lam * (1.0 - p) * mu * n / (p * (lam + mu) ** 2)
+    return 0.0 if arg <= 1.0 else math.log(arg) / (mu + 2.0 * lam)
+
+
+@pytest.mark.parametrize("n", [3, 10, 50, 100, 200, 1000, 10_000])
+def test_cutoff_at_ordinary_rates_is_the_closed_form_as_written(n):
+    # The designs of the suite and the README, bit for bit.
+    for p, lam, mu in [(0.3, 2.0, 1.0), (0.5, 1.0, 1.0), (0.2, 0.5, 3.0)]:
+        assert theoretical_cutoff_exponential(n, p, lam, mu) == _cutoff_as_written(n, p, lam, mu)
+
+
 def test_cutoff_tail_growth_rate():
     lam, mu, p = 2.0, 1.0, 0.3
     ratios = []

@@ -1,11 +1,14 @@
 """Invariants of the sort, the tail averages, the replication loop, the
 NPMLE and the CSV format, checked on generated inputs."""
 
+import concurrent.futures
 import math
+import sys
 import tempfile
 from concurrent.futures import Future
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +27,7 @@ from curest import (
     select_cutoff,
     simulate,
     sort_with_concomitants,
+    theoretical_cutoff_exponential,
     trace,
     write_csv,
     z_stats,
@@ -32,7 +36,12 @@ from curest import _parallel
 from curest._parallel import chunk_spans, replicate
 from curest.npmle import _top_indicator
 
-from oracles import maxmin_brute, select_cutoff_reference, z_stats_from_trace
+from oracles import (
+    maxmin_brute,
+    optimal_cutoff_hp,
+    select_cutoff_reference,
+    z_stats_from_trace,
+)
 
 # Inspection times drawn mostly from a handful of values, so most samples
 # have ties, and sometimes from a continuum, so some have none.
@@ -184,9 +193,44 @@ def test_the_pool_has_no_more_workers_than_chunks(monkeypatch):
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(_parallel, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     assert _parallel.map_replication_chunks(max, (), 2, 64) == [1, 2]
     assert asked == [2]
+
+
+positive_floats = st.floats(min_value=5e-324, max_value=sys.float_info.max)
+
+
+@CASES
+@given(
+    n=st.integers(1, 10**9),
+    p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    lam=positive_floats,
+    mu=positive_floats,
+)
+@example(n=10, p=0.3, lam=2.0, mu=1e300)  # (lam + mu) ** 2 overflowed
+@example(n=10, p=0.3, lam=1e300, mu=2.0)
+@example(n=10, p=0.3, lam=1e-300, mu=1e-300)  # (lam + mu) ** 2 underflowed to 0
+@example(n=100, p=0.3, lam=1e-160, mu=1e-160)  # subnormal terms
+@example(n=100, p=0.3, lam=1e153, mu=1e153)  # 2 lam mu n near the largest float
+@example(n=100, p=0.3, lam=1e308, mu=1.7e308)  # mu + 2 lam overflows
+@example(n=100, p=5e-324, lam=0.25, mu=0.25)  # p (lam + mu) ** 2 rounded to 0
+@example(n=1, p=5.1e-140, lam=1.3e-306, mu=1e-312)  # just below the largest float
+@example(n=100, p=0.3, lam=5e-324, mu=5e-324)  # past the largest float
+def test_the_closed_form_cutoff_is_accurate_or_refused(n, p, lam, mu):
+    want = optimal_cutoff_hp(n, p, lam, mu)
+    try:
+        x = theoretical_cutoff_exponential(n, p, lam, mu)
+    except ValueError as exc:
+        assert "exceeds the largest float" in str(exc)
+        assert want > sys.float_info.max * (1.0 - 1e-12)
+        return
+    assert math.isfinite(x) and x >= 0.0
+    # Relative error, or the absolute error of the log argument (a sum of
+    # logs of the inputs) carried through the division by mu + 2 lam.
+    logs = sum(abs(math.log(v)) for v in (n, p, lam, mu)) + 1.0
+    slack = 1e-12 * want + 1e-13 * logs / (mpmath.mpf(mu) + 2 * mpmath.mpf(lam))
+    assert abs(x - want) <= slack + 5e-324
 
 
 @FEW_CASES
