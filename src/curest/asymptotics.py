@@ -22,6 +22,7 @@ from .estimators import _tail_means, theoretical_cutoff_exponential
 from .model import Exponential, MixtureSpec, SortedSample, _check_count, sort_with_concomitants
 
 _SQRT2 = math.sqrt(2.0)
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 @dataclass(frozen=True)
@@ -35,10 +36,8 @@ class ZStatPair:
 
 def std_normal_cdf(x):
     """Phi(x) = (1 + erf(x / sqrt 2)) / 2."""
-    from scipy.special import erf  # here, so that importing curest loads no scipy
-
     x = np.asarray(x, dtype=float)
-    out = 0.5 * (1.0 + erf(x / _SQRT2))
+    out = 0.5 * (1.0 + _erf(x / _SQRT2))
     return float(out) if out.ndim == 0 else out
 
 

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from statistics import NormalDist
 
 import numpy as np
 
@@ -184,9 +185,7 @@ def cmd_estimate(args) -> int:
         choice = choice_at_index(tr, pos, method=args.method, guard=guard)
 
     est = estimate_cure(tr, choice)
-    from scipy.special import ndtri  # here, so that only estimate pays for scipy
-
-    z = float(ndtri(1.0 - args.alpha / 2.0))
+    z = NormalDist().inv_cdf(1.0 - args.alpha / 2.0)
     center = 1.0 - est.p_hat1
     half = z * math.sqrt(est.p_hat1 * (1.0 - est.p_hat1)) / math.sqrt(est.tail_count)
     ci_lo = max(0.0, center - half)

@@ -87,7 +87,7 @@ def log_lik(f, deltas) -> float:
     f = np.asarray(f, dtype=float)
     if f.shape != d.shape:
         raise ValueError("f and deltas must have equal length")
-    if np.any(f < 0.0) or np.any(f > 1.0):
+    if not np.all((f >= 0.0) & (f <= 1.0)):  # NaN fails this form too
         raise ValueError("f values must lie in [0, 1]")
     if np.any(np.diff(f) < 0.0):
         raise ValueError("f must be nondecreasing")

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -84,6 +85,14 @@ def test_reference_cdfs():
     assert half_normal_cdf(-1.0) == 0.0
     for x in np.linspace(0.0, 5.0, 41):
         assert abs(half_normal_cdf(x) - (2.0 * std_normal_cdf(x) - 1.0)) <= 1e-12
+
+
+def test_std_normal_cdf_against_high_precision():
+    x = np.linspace(-8.0, 8.0, 2001)
+    got = std_normal_cdf(x)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.ncdf(v)) for v in x])
+    assert np.max(np.abs(got - want)) <= 4.5e-16
 
 
 def test_half_normal_moments_by_quadrature():

@@ -3,7 +3,7 @@
 ``run_cli`` drives ``cli.main`` in the test process, so the CLI runs under
 the suite's warning filters and pays no interpreter start-up.  A subprocess
 is kept only where the process is what is tested: the exit codes of
-``python -m curest`` and what importing the CLI loads.
+``python -m curest`` and what importing and running the CLI loads.
 """
 
 import contextlib
@@ -13,8 +13,10 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 import types
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -242,6 +244,25 @@ def test_estimate_interior_ci_half_width(tmp_path):
     center = 1.0 - payload["pHat1"]
     assert payload["ciLo"] == pytest.approx(center - 0.2121723251392822, abs=1e-12)
     assert payload["ciHi"] == pytest.approx(center + 0.2121723251392822, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.05, 0.01])
+def test_estimate_half_width_against_high_precision(tmp_path, alpha):
+    # Eight events in a tail of 16: p_hat1 = 1/2, so the half-width is
+    # z * 1/2 / 4 with no rounding, and ciHi - 1/2 recovers it exactly.
+    data = tmp_path / "half.csv"
+    write_toy(data, [(i % 2, float(i)) for i in range(1, 17)])
+    summary = tmp_path / "est.json"
+    res = run_cli(
+        "estimate", "--data", str(data), "--method", "fixed-index", "--index", "1",
+        "--alpha", str(alpha), "--json-summary", str(summary),
+    )
+    assert res.returncode == 0
+    payload = json.loads(summary.read_text())
+    assert payload["pHat1"] == 0.5 and payload["tailCount"] == 16
+    with mpmath.workdps(40):
+        want = mpmath.sqrt(2) * mpmath.erfinv(1 - mpmath.mpf(alpha)) / 8
+        assert abs((payload["ciHi"] - 0.5) / want - 1) <= 1e-15
 
 
 def test_estimate_json_deterministic(tmp_path):
@@ -603,6 +624,27 @@ def test_cli_import_does_not_load_scipy_stats():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_cli_runs_load_no_scipy(tmp_path):
+    code = textwrap.dedent(
+        """
+        import os, sys
+        from curest import cli
+
+        os.chdir(sys.argv[1])
+        model = ["--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "200"]
+        assert cli.main(["simulate", *model, "--seed", "1", "--out", "sim.csv"]) == 0
+        assert cli.main(["estimate", "--data", "sim.csv", "--method", "cv-m2"]) == 0
+        assert cli.main(["mc", *model, "--reps", "4", "--threads", "1", "--out", "mc.csv"]) == 0
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        """
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 def test_all_lists_exactly_the_public_names_curest_binds():

@@ -95,6 +95,8 @@ def test_log_lik_rejects_bad_vectors():
     with pytest.raises(ValueError):
         log_lik([-0.1, 0.5], [1, 1])
     with pytest.raises(ValueError):
+        log_lik([0.5, math.nan], [0, 1])  # NaN compares false both ways
+    with pytest.raises(ValueError):
         log_lik([0.1, 0.5, 0.9], [1, 1])  # shape mismatch
 
 
