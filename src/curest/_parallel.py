@@ -1,20 +1,23 @@
 """Seeded replications, fanned out over worker processes.
 
-Replication k of a run with base seed ``seed`` draws its sample with seed
-``seed + k``; ``replicate`` is the only place that derives it.  Replications
-run in contiguous chunks and are joined in replication order, so results
-never depend on the worker count.
+Replication k of a run with base seed ``seed`` uses seed ``seed + k``;
+``_span`` is the only place that derives it.  Replications run in contiguous
+spans, one span for one worker, else up to four per worker, and are joined
+in replication order, so results never depend on the worker count.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .model import _check_count, simulate
 
 
 def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous [start, stop) spans covering range(reps), in order."""
+    """Contiguous [start, stop) spans covering range(reps), in order: one
+    span for one worker, else up to four per worker."""
     _check_count("reps", reps, 1)
-    chunks = max(1, min(reps, workers * 4))
+    chunks = 1 if workers == 1 else max(1, min(reps, workers * 4))
     edges = [round(i * reps / chunks) for i in range(chunks + 1)]
     return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
 
@@ -34,13 +37,26 @@ def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
         return [f.result() for f in futures]
 
 
-def _replicate_span(stat, spec, n: int, seed: int, start: int, stop: int) -> list:
-    return [stat(simulate(spec, n, seed + k)) for k in range(start, stop)]
+def _span(per_span, seed: int, start: int, stop: int) -> list:
+    one = per_span()
+    return [one(seed + k) for k in range(start, stop)]
+
+
+def replicate_seeds(per_span, reps: int, seed: int, workers: int = 1) -> list:
+    """``[one(seed + k) for k in range(reps)]`` for any worker count, where
+    each span of replications calls ``one = per_span()`` once, so ``one``
+    may hold buffers that its replications reuse.  With more than one
+    worker, ``per_span`` must pickle; ``one`` need not."""
+    chunks = map_replication_chunks(_span, (per_span, seed), reps, workers)
+    return [value for chunk in chunks for value in chunk]
+
+
+def _sampled(stat, spec, n: int):
+    return lambda seed: stat(simulate(spec, n, seed))
 
 
 def replicate(stat, spec, n: int, reps: int, seed: int, workers: int = 1) -> list:
     """``[stat(simulate(spec, n, seed + k)) for k in range(reps)]`` for any
     worker count.  With more than one worker, ``stat`` must pickle: a
     module-level function, or one bound with ``functools.partial``."""
-    chunks = map_replication_chunks(_replicate_span, (stat, spec, n, seed), reps, workers)
-    return [value for chunk in chunks for value in chunk]
+    return replicate_seeds(partial(_sampled, stat, spec, n), reps, seed, workers)

@@ -17,9 +17,18 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import replicate
-from .estimators import _tail_means, theoretical_cutoff_exponential
-from .model import Exponential, MixtureSpec, SortedSample, _check_count, sort_with_concomitants
+from ._parallel import replicate, replicate_seeds
+from .estimators import _suffix_means, _tail_means, theoretical_cutoff_exponential
+from .model import (
+    Exponential,
+    MixtureSpec,
+    SortedSample,
+    _check_count,
+    _check_times,
+    _records_into,
+    _sort_records,
+    _tail_start,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _erf = np.vectorize(math.erf, otypes=[float])
@@ -89,19 +98,30 @@ def z_stats(
         raise ValueError(f"studentization must be 'known-p' or 'plug-in', got {studentization!r}")
     if not (0.0 < p_true < 1.0):
         raise ValueError(f"p_true must lie strictly inside (0, 1), got {p_true!r}")
-    x_n = float(x_n)
-    if not math.isfinite(x_n) or x_n < 0:
-        raise ValueError("cut-off must be finite and nonnegative")
-    i = ss.tail_start(x_n)
+    i = ss.tail_start(_checked_cutoff(x_n))
     # Position i opens tie group g and the tail is the m = n - i records
     # from there on.  p1 and its running maximum p2 are read off the tail
     # means at the group openings up to g.
-    m = ss.n - i
     starts = ss.group_start
     g = int(np.searchsorted(starts, i, side="left"))
     means = _tail_means(ss, starts[: g + 1])
-    p1 = float(means[-1])
-    p2 = float(means.max())
+    m = ss.n - i
+    z1, z2 = _z_pair(float(means[-1]), float(means.max()), m, p_true, studentization)
+    return ZStatPair(z1=z1, z2=z2, tail_count=m)
+
+
+def _checked_cutoff(x_n) -> float:
+    x_n = float(x_n)
+    if not math.isfinite(x_n) or x_n < 0:
+        raise ValueError("cut-off must be finite and nonnegative")
+    return x_n
+
+
+def _z_pair(
+    p1: float, p2: float, m: int, p_true: float, studentization: str
+) -> tuple[float, float]:
+    """(z1, z2) from the tail average p1, its running maximum p2 and the
+    tail count m (see ``z_stats``)."""
     if studentization == "known-p":
         scale = math.sqrt(p_true * (1.0 - p_true))
     else:
@@ -115,11 +135,7 @@ def z_stats(
         return math.copysign(math.inf, num) if num != 0.0 else math.nan
 
     center = 1.0 - p_true
-    return ZStatPair(
-        z1=_scaled(root_m * (p1 - center)),
-        z2=_scaled(root_m * (p2 - center)),
-        tail_count=m,
-    )
+    return _scaled(root_m * (p1 - center)), _scaled(root_m * (p2 - center))
 
 
 @dataclass(frozen=True)
@@ -155,7 +171,11 @@ class CutoffRule:
             _check_count("fixed-tail rule's tail", self.tail, 1)
 
     def resolve(self, spec: MixtureSpec, ss: SortedSample) -> float:
-        n = ss.n
+        return self._threshold(spec, ss.y)
+
+    def _threshold(self, spec: MixtureSpec, y: np.ndarray) -> float:
+        """The threshold for the sorted inspection times ``y``."""
+        n = y.size
         if self.kind == "fixed-x":
             return float(self.x)
         if self.kind == "optimal":
@@ -163,7 +183,7 @@ class CutoffRule:
         if self.kind == "undersmoothed":
             return float(spec.inspection.quantile(1.0 - 1.0 / math.sqrt(n)))
         m = min(self.tail, n)
-        return float(ss.y[n - m])
+        return float(y[n - m])
 
 
 def _optimal_cutoff(spec: MixtureSpec, n: int) -> float:
@@ -225,15 +245,55 @@ class McResult:
         return self.rep_index.size
 
 
-def _mc_stat(config: McConfig, sample) -> tuple[float, float] | None:
-    """(z1, z2) of one sample, or None when its threshold exceeds the
-    largest inspection time."""
-    ss = sort_with_concomitants(sample)
-    x = config.cutoff.resolve(config.spec, ss)
-    if x > ss.y[-1]:
-        return None
-    zz = z_stats(ss, x, p_true=config.spec.p, studentization=config.studentization)
-    return zz.z1, zz.z2
+class _McSpan:
+    """The replications of one span of ``run_mc``, drawn in one workspace.
+
+    The buffers are allocated once per span and reused by every
+    replication: a ``(3, n)`` block of uniforms, whose rows are spent in
+    turn and then hold the sorted times (row 0), the suffix sums (row 1) and
+    the tail means (row 2); the packed keys; the indicators; the tie-group
+    marks; and the tail counts 1..n.  That is 5.25 doubles per record, and a
+    replication allocates no array of the sample's length.  It takes the
+    steps of ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and
+    ``z_stats`` on the same kernels, so its (z1, z2) are the same doubles.
+    """
+
+    def __init__(self, config: McConfig) -> None:
+        n = config.n
+        self.config = config
+        self.u = np.empty((3, n))
+        self.key = np.empty(n, dtype=np.uint64)
+        self.delta = np.empty(n, dtype=bool)
+        self.opens = np.empty(n, dtype=bool)
+        self.counts = np.arange(1.0, n + 1.0)
+
+    def __call__(self, seed: int) -> tuple[float, float] | None:
+        config, u = self.config, self.u
+        np.random.default_rng(seed).random(out=u)  # the stream of ``simulate``
+        # The tie-group marks are free until the sort: they take the scratch.
+        y = _records_into(config.spec, u, self.delta, self.opens)
+        _check_times(y)
+        ys = u[0]
+        untied = _sort_records(y, self.delta, self.key, ys, self.opens)
+        x = config.cutoff._threshold(config.spec, ys)
+        if x > ys[-1]:
+            return None
+        i = _tail_start(ys, _checked_cutoff(x))
+        # Read from the end, entry r of the means belongs to sorted position
+        # n - 1 - r, so the tail opens at entry lo and the thresholds up to
+        # it are entries lo on.  The keys order a tie group by indicator,
+        # not by input position, but a sum from a group's opening on counts
+        # the same ones either way, and i and p2's terms are openings.  Untied,
+        # every entry is one, and the unmasked max is four times as fast.
+        lo = ys.size - 1 - i
+        sums, means = u[1].view(np.uint64), u[2]
+        np.bitwise_and(self.key[::-1], 1, out=sums)
+        _suffix_means(sums, self.counts, means, lo)
+        opening = True if untied else self.opens[::-1][lo:]
+        p2 = means[lo:].max(where=opening, initial=-math.inf)
+        return _z_pair(
+            float(means[lo]), float(p2), ys.size - i, config.spec.p, config.studentization
+        )
 
 
 def _moments(values: np.ndarray) -> tuple[float, float]:
@@ -247,11 +307,10 @@ def _moments(values: np.ndarray) -> tuple[float, float]:
 def run_mc(config: McConfig, workers: int = 1) -> McResult:
     """Replicate the studentized tail statistics and summarize them.
 
-    The result is identical for any worker count (see ``replicate``).
+    Each span of replications reuses one workspace (see ``_McSpan``), and
+    the result is identical for any worker count (see ``replicate_seeds``).
     """
-    stats = replicate(
-        partial(_mc_stat, config), config.spec, config.n, config.reps, config.seed, workers
-    )
+    stats = replicate_seeds(partial(_McSpan, config), config.reps, config.seed, workers)
     kept = [k for k, zz in enumerate(stats) if zz is not None]
     rep_index = np.asarray(kept, dtype=np.int64)
     z1 = np.asarray([stats[k][0] for k in kept], dtype=float)

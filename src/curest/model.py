@@ -25,8 +25,23 @@ class CsvFormatError(ValueError):
 _PAD = " \t"  # the only padding a CSV field may carry
 
 
+class _Law:
+    """A law sampled by its quantile function.  Each law computes its
+    quantiles in place (``_quantile_into``), which is how ``simulate`` and
+    ``run_mc`` apply it to their uniforms; ``quantile`` does so on a copy."""
+
+    def quantile(self, u):
+        u = np.array(u, dtype=float)  # a copy: the argument is left as it was
+        # A NaN carries through min and max and fails both comparisons; an
+        # empty argument has neither, and has nothing to refuse.
+        if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
+            raise ValueError("quantile argument must lie in [0, 1]")
+        self._quantile_into(u)
+        return float(u) if u.ndim == 0 else u
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Law):
     """Exponential distribution with the given rate on [0, inf)."""
 
     rate: float
@@ -40,17 +55,17 @@ class Exponential:
         out = -np.expm1(-self.rate * np.maximum(t, 0.0))
         return float(out) if out.ndim == 0 else out
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if not ((u >= 0.0) & (u <= 1.0)).all():
-            raise ValueError("quantile argument must lie in [0, 1]")
+    def _quantile_into(self, u: np.ndarray) -> None:
+        # -log1p(-u) / rate, with the outer sign moved onto the rate: a
+        # quotient's sign is exact, so the doubles are the same.
+        np.negative(u, out=u)
         with np.errstate(divide="ignore"):
-            out = -np.log1p(-u) / self.rate
-        return float(out) if out.ndim == 0 else out
+            np.log1p(u, out=u)
+        np.divide(u, -self.rate, out=u)
 
 
 @dataclass(frozen=True)
-class TabulatedQuantile:
+class TabulatedQuantile(_Law):
     """Distribution given by a piecewise-linear quantile table.
 
     ``probs`` must rise from 0 to 1 and ``values`` must be finite and
@@ -89,12 +104,10 @@ class TabulatedQuantile:
         """Degenerate distribution putting all mass at ``value``."""
         return cls((0.0, 1.0), (value, value))
 
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if not ((u >= 0.0) & (u <= 1.0)).all():
-            raise ValueError("quantile argument must lie in [0, 1]")
-        out = np.interp(u, self._probs, self._values)
-        return float(out) if out.ndim == 0 else out
+    def _quantile_into(self, u: np.ndarray) -> None:
+        # np.interp takes no output array, so this law fills u from a
+        # temporary.
+        u[...] = np.interp(u, self._probs, self._values)
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -162,6 +175,12 @@ def _indicators(delta, dtype) -> np.ndarray:
     return raw.astype(dtype)
 
 
+def _check_times(y: np.ndarray) -> None:
+    # A NaN carries through min and max and fails both comparisons.
+    if not (y.min() >= 0.0 and y.max() < math.inf):
+        raise ValueError("inspection times must be finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class CurrentStatusSample:
     """Observed records: delta[i] = 1 when the event preceded inspection y[i].
@@ -177,9 +196,7 @@ class CurrentStatusSample:
         if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
             raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
         delta = _indicators(raw, np.int8)
-        # A NaN carries through min and max and fails both comparisons.
-        if not (y.min() >= 0.0 and y.max() < math.inf):
-            raise ValueError("inspection times must be finite and nonnegative")
+        _check_times(y)
         object.__setattr__(self, "delta", _freeze(delta))
         object.__setattr__(self, "y", _freeze(y))
 
@@ -220,16 +237,13 @@ class SortedSample:
             raise TypeError(
                 f"SortedSample needs a CurrentStatusSample, got {type(sample).__name__}"
             )
-        key = sample.y.view(np.uint64) << 1
-        key |= sample.delta.view(np.uint8)
-        key.sort()
-        y = (key >> 1).view(np.float64)
-        opens = np.empty(y.size, dtype=bool)  # first record of each tie group
-        opens[0] = True
-        np.not_equal(y[1:], y[:-1], out=opens[1:])
-        if opens.all():
+        n = sample.n
+        key = np.empty(n, dtype=np.uint64)
+        y = np.empty(n)
+        opens = np.empty(n, dtype=bool)
+        if _sort_records(sample.y, sample.delta, key, y, opens):
             delta = (key & 1).astype(np.int8)
-            starts = np.arange(y.size, dtype=np.intp)
+            starts = np.arange(n, dtype=np.intp)
         else:
             delta = sample.delta[np.argsort(sample.y, kind="stable")]
             starts = np.flatnonzero(opens)
@@ -245,10 +259,47 @@ class SortedSample:
         """0-based position of the first record of the tail ``y >= x``; it
         opens a tie group.  A threshold above the largest inspection time
         leaves the tail empty and is refused."""
-        i = int(np.searchsorted(self.y, x, side="left"))
+        i = _tail_start(self.y, x)
         if i == self.n:
             raise ValueError("cut-off exceeds the largest inspection time; the tail is empty")
         return i
+
+
+def _tail_start(y: np.ndarray, x: float) -> int:
+    """Position of the first of the sorted times ``y`` at or above ``x``."""
+    return int(np.searchsorted(y, x, side="left"))
+
+
+def _sort_records(y, delta, key, y_sorted, opens) -> bool:
+    """Sort the checked records ``(y, delta)`` by their packed keys (see
+    ``SortedSample``) into ``key``, write the sorted times to ``y_sorted``
+    and mark in ``opens`` the first record of each tie group; return whether
+    the times are untied.  Every output is a preallocated array of the
+    records' length."""
+    np.left_shift(y.view(np.uint64), 1, out=key)
+    np.bitwise_or(key, delta.view(np.uint8), out=key)
+    key.sort()
+    np.right_shift(key, 1, out=y_sorted.view(np.uint64))
+    opens[0] = True
+    np.not_equal(y_sorted[1:], y_sorted[:-1], out=opens[1:])
+    return bool(opens.all())
+
+
+def _records_into(
+    spec: MixtureSpec, u: np.ndarray, delta: np.ndarray, uncured: np.ndarray
+) -> np.ndarray:
+    """Turn one ``(3, n)`` block of uniforms into records, in place: row 1
+    becomes the event times and row 2 the inspection times, which are
+    returned, and the indicators go to the boolean array ``delta``, with
+    the boolean array ``uncured`` as scratch."""
+    u_cure, event_time, y = u
+    spec.event._quantile_into(event_time)
+    spec.inspection._quantile_into(y)
+    # A cured subject (u_cure < p) never has the event.
+    np.greater_equal(u_cure, spec.p, out=uncured)
+    np.less_equal(event_time, y, out=delta)
+    np.logical_and(delta, uncured, out=delta)
+    return y
 
 
 def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
@@ -258,18 +309,15 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     (cure mark, event time, inspection time), so the stream layout is
     documented and a seed reproduces the sample exactly.  The event-time
     uniform is consumed even for cured subjects to keep the layout fixed.
+    The blocks are drawn as the rows of one ``(3, n)`` array, which is the
+    same stream.
     """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    u_cure = rng.random(n)
-    u_event = rng.random(n)
-    u_inspect = rng.random(n)
-    event_time = np.asarray(spec.event.quantile(u_event), dtype=float)
-    y = np.asarray(spec.inspection.quantile(u_inspect), dtype=float)
-    # A cured subject (u_cure < p) never has the event.
-    delta = ((u_cure >= spec.p) & (event_time <= y)).view(np.int8)
-    return CurrentStatusSample(delta=delta, y=y)
+    u = np.random.default_rng(seed).random((3, n))
+    delta, uncured = np.empty((2, n), dtype=bool)
+    y = _records_into(spec, u, delta, uncured)
+    return CurrentStatusSample(delta=delta.view(np.int8), y=y)
 
 
 def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:

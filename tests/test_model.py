@@ -61,6 +61,63 @@ def test_quantile_refuses_arguments_outside_the_unit_interval(dist, u):
 @pytest.mark.parametrize(
     "dist", [Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))]
 )
+def test_quantile_leaves_its_argument_as_it_was(dist):
+    u = np.array([0.0, 0.25, 0.5, 0.999, 1.0])
+    kept = u.copy()
+    out = dist.quantile(u)
+    assert u.tobytes() == kept.tobytes()
+    assert out is not u and not np.shares_memory(out, u)
+    frozen = kept.copy()
+    frozen.setflags(write=False)
+    assert dist.quantile(frozen).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dist", [Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))]
+)
+def test_quantile_of_a_scalar_is_a_float_and_of_nothing_is_empty(dist):
+    for u in (0.3, np.float64(0.3), np.array(0.3)):
+        q = dist.quantile(u)
+        assert type(q) is float
+        assert q == dist.quantile(np.array([0.3]))[0]
+    for empty in ([], np.empty(0), np.empty((0, 3))):
+        out = dist.quantile(empty)
+        assert isinstance(out, np.ndarray) and out.size == 0
+        assert out.shape == np.shape(empty) and out.dtype == np.float64
+
+
+@pytest.mark.parametrize(
+    "event", [Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))]
+)
+@pytest.mark.parametrize(
+    "inspection",
+    [Exponential(1.0), TabulatedQuantile((0.0, 0.4, 0.4, 1.0), (1.0, 1.0, 2.0, 2.0))],
+)
+@pytest.mark.parametrize("n", [1, 2, 1000])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_simulate_draws_the_documented_stream_layout(event, inspection, n, p):
+    # Three consecutive blocks of n uniforms: cure mark, event time,
+    # inspection time; each law's quantile written out as its formula.
+    def quantile(law, u):
+        if isinstance(law, Exponential):
+            with np.errstate(divide="ignore"):
+                return -np.log1p(-u) / law.rate
+        return np.interp(u, law.probs, law.values)
+
+    seed = 1234 + n
+    rng = np.random.default_rng(seed)
+    u_cure, u_event, u_inspect = rng.random(n), rng.random(n), rng.random(n)
+    event_time = quantile(event, u_event)
+    y = quantile(inspection, u_inspect)
+    delta = ((u_cure >= p) & (event_time <= y)).astype(np.int8)
+    sample = simulate(MixtureSpec(p=p, event=event, inspection=inspection), n, seed)
+    assert sample.delta.tobytes() == delta.tobytes()
+    assert sample.y.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "dist", [Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (0.0, 1.0, 3.0))]
+)
 def test_cdf_of_nan_is_nan(dist):
     assert math.isnan(dist.cdf(math.nan))
     out = dist.cdf([math.nan, 0.5, math.inf])

@@ -11,19 +11,24 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from curest import (
     CurrentStatusSample,
+    CutoffRule,
     Exponential,
+    McConfig,
     MixtureSpec,
+    SortedSample,
+    TabulatedQuantile,
     cv_m1_curve,
     cv_m2_curve,
     estimate_cure,
     npmle_pava,
     plug_ins,
     read_csv,
+    run_mc,
     select_cutoff,
     simulate,
     sort_with_concomitants,
@@ -168,6 +173,12 @@ def test_chunk_spans_split_the_replications_in_order(reps, workers):
     assert spans[0][0] == 0 and spans[-1][1] == reps
     assert all(a < b for a, b in spans)
     assert all(b == c for (_, b), (c, _) in zip(spans, spans[1:]))
+
+
+@CASES
+@given(reps=st.integers(1, 500))
+def test_one_worker_runs_one_span(reps):
+    assert chunk_spans(reps, 1) == [(0, reps)]
 
 
 def test_chunk_spans_refuses_fractional_reps():
@@ -355,3 +366,100 @@ def test_z_stats_reads_the_trace_entry_of_its_cutoff(sample, where, data):
         want = z_stats_from_trace(sample, x, p_true, studentization)
         assert np.array([got.z1, got.z2]).tobytes() == np.array(want[:2]).tobytes()
         assert got.tail_count == want[2]
+
+
+def visit_schedule():
+    """Scheduled visits at 0.25, 0.50, ..., 4.0, each carrying the Exp(1)
+    mass of the interval ending at it: every sample of more than 16 records
+    is tied."""
+    probs, values, lo = [], [], 0.0
+    for k in range(1, 17):
+        hi = -math.expm1(-0.25 * k) if k < 16 else 1.0
+        probs += [lo, hi]
+        values += [0.25 * k, 0.25 * k]
+        lo = hi
+    return TabulatedQuantile(tuple(probs), tuple(values))
+
+
+MC_DESIGNS = {
+    "untied exponential": lambda p: MixtureSpec(p, Exponential(2.0), Exponential(1.0)),
+    "tied visits": lambda p: MixtureSpec(p, Exponential(2.0), visit_schedule()),
+    # delta is exactly 1 minus the cure mark.
+    "point-mass event": lambda p: MixtureSpec(
+        p, TabulatedQuantile.point_mass(0.0), Exponential(1.0)
+    ),
+}
+
+
+# 1e6 lies above every sample, so each replication is skipped there.
+mc_rules = st.one_of(
+    st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e6]).map(lambda x: CutoffRule("fixed-x", x=x)),
+    st.just(CutoffRule("optimal")),
+    st.just(CutoffRule("undersmoothed")),
+    st.integers(1, 3000).map(lambda tail: CutoffRule("fixed-tail", tail=tail)),
+)
+
+
+def public_chain(config):
+    """run_mc's (rep_index, z1, z2) from the public per-sample chain."""
+    kept, z1, z2 = [], [], []
+    for k in range(config.reps):
+        ss = SortedSample(simulate(config.spec, config.n, config.seed + k))
+        x = config.cutoff.resolve(config.spec, ss)
+        if x > ss.y[-1]:
+            continue
+        zz = z_stats(ss, x, config.spec.p, config.studentization)
+        kept.append(k)
+        z1.append(zz.z1)
+        z2.append(zz.z2)
+    return (
+        np.asarray(kept, dtype=np.int64).tobytes(),
+        np.asarray(z1, dtype=float).tobytes(),
+        np.asarray(z2, dtype=float).tobytes(),
+    )
+
+
+# The examples reach the edges (see the next test): every replication
+# skipped, the optimal cut-off clamped to 0, a tail longer than the sample,
+# all-ones tails (a non-finite plug-in statistic) and tied samples.
+@FEW_CASES
+@given(
+    design=st.sampled_from(sorted(MC_DESIGNS)),
+    p=st.sampled_from([0.05, 0.3, 0.9]),
+    n=st.one_of(st.integers(1, 30), st.integers(31, 2000)),
+    reps=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    rule=mc_rules,
+    studentization=st.sampled_from(["known-p", "plug-in"]),
+    workers=st.sampled_from([1, 3]),
+)
+@example(design="untied exponential", p=0.3, n=50, reps=9, seed=11,
+         rule=CutoffRule("fixed-x", x=1e6), studentization="known-p", workers=3)
+@example(design="untied exponential", p=0.9, n=12, reps=3, seed=1,
+         rule=CutoffRule("optimal"), studentization="known-p", workers=1)
+@example(design="untied exponential", p=0.3, n=40, reps=9, seed=11,
+         rule=CutoffRule("fixed-tail", tail=3000), studentization="plug-in", workers=3)
+@example(design="point-mass event", p=0.05, n=200, reps=9, seed=11,
+         rule=CutoffRule("fixed-tail", tail=2), studentization="plug-in", workers=3)
+@example(design="tied visits", p=0.3, n=500, reps=9, seed=11,
+         rule=CutoffRule("undersmoothed"), studentization="plug-in", workers=3)
+def test_run_mc_equals_the_public_per_sample_chain(
+    design, p, n, reps, seed, rule, studentization, workers
+):
+    # The optimal cut-off is defined for exponential laws only.
+    assume(rule.kind != "optimal" or design == "untied exponential")
+    config = McConfig(MC_DESIGNS[design](p), n, reps, seed, rule, studentization)
+    res = run_mc(config, workers=workers)
+    got = (res.rep_index.tobytes(), res.z1.tobytes(), res.z2.tobytes())
+    assert got == public_chain(config)
+
+
+def test_the_chain_examples_reach_their_edge_cases():
+    untied, point = MC_DESIGNS["untied exponential"], MC_DESIGNS["point-mass event"]
+    assert run_mc(McConfig(untied(0.3), 50, 9, 11, CutoffRule("fixed-x", x=1e6))).skipped == 9
+    clamped = SortedSample(simulate(untied(0.9), 12, 1))
+    assert CutoffRule("optimal").resolve(untied(0.9), clamped) == 0.0
+    degenerate = McConfig(point(0.05), 200, 9, 11, CutoffRule("fixed-tail", tail=2), "plug-in")
+    assert run_mc(degenerate).nonfinite > 0
+    tied = SortedSample(simulate(MC_DESIGNS["tied visits"](0.3), 500, 11))
+    assert tied.group_start.size < tied.n
