@@ -55,7 +55,8 @@ class EstimatorTrace:
         object.__setattr__(self, "n", sample.n)
         object.__setattr__(self, "index", _freeze(starts + 1))
         object.__setattr__(self, "y", _freeze(sample.y[starts]))
-        object.__setattr__(self, "tail_count", _freeze((sample.n - starts).astype(np.int64)))
+        tail_count = (sample.n - starts).astype(np.int64, copy=False)
+        object.__setattr__(self, "tail_count", _freeze(tail_count))
         object.__setattr__(self, "p1", _freeze(p1))
         object.__setattr__(self, "p2", _freeze(np.maximum.accumulate(p1)))
 
@@ -128,7 +129,7 @@ def _suffix_means(sums: np.ndarray, counts: np.ndarray, means: np.ndarray, lo: i
     n - 1 - r to the end.  The sums are whole numbers, exact in float64, so each mean is
     the same double as an integer sum over an integer count.  ``means`` may
     be ``sums`` itself."""
-    np.cumsum(sums, out=sums)
+    sums.cumsum(out=sums)
     np.divide(sums[lo:], counts[lo:], out=means[lo:])
 
 
@@ -154,7 +155,7 @@ def trace(ss: SortedSample) -> EstimatorTrace:
 def _entry_for_index(tr: EstimatorTrace, index: int) -> int:
     if not 1 <= index <= tr.n:
         raise ValueError(f"index must lie in 1..{tr.n}, got {index}")
-    return int(np.searchsorted(tr.index, index, side="right")) - 1
+    return int(tr.index.searchsorted(index, side="right")) - 1
 
 
 def estimate_cure(tr: EstimatorTrace, choice: CutoffChoice) -> CureEstimate:
@@ -212,9 +213,11 @@ def plug_ins(tr: EstimatorTrace) -> PlugIns:
     kept = tr.__dict__.get("_plug_ins")
     if kept is not None:
         return kept
-    sizes = -np.diff(np.append(tr.tail_count, 0))
+    # Group sizes: each tail count less the next one, the last group's its own.
+    sizes = tr.tail_count.copy()
+    sizes[:-1] -= tr.tail_count[1:]
     delta_bar = float(tr.p1[0])
-    p2_bar = float(np.sum(tr.p2 * sizes) / tr.n)
+    p2_bar = float((tr.p2 * sizes).sum() / tr.n)
     gap = p2_bar - delta_bar
     alpha_hat = delta_bar / gap if gap > 0 else math.nan
     pi = PlugIns(delta_bar=delta_bar, p2_bar=p2_bar, alpha_hat=alpha_hat)
@@ -293,13 +296,13 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
     k = int(np.count_nonzero(tr.tail_count >= guard))
     if k == 0:
         raise ValueError(f"no thresholds have tail count >= {guard}")
-    candidates = np.flatnonzero(curve.variance[:k] > 0.0)
+    candidates = (curve.variance[:k] > 0.0).nonzero()[0]
     if candidates.size == 0:
         raise ValueError(
             "every guarded threshold has a degenerate (zero) variance estimate; "
             "the objective cannot rank cut-offs on this sample"
         )
-    best = candidates[int(np.argmin(curve.objective[candidates]))]
+    best = candidates[curve.objective[candidates].argmin()]
     return CutoffChoice(
         method=f"cv-{curve.flavor}",
         index=int(tr.index[best]),

@@ -28,7 +28,13 @@ _PAD = " \t"  # the only padding a CSV field may carry
 class _Law:
     """A law sampled by its quantile function.  Each law computes its
     quantiles in place (``_quantile_into``), which is how ``simulate`` and
-    ``run_mc`` apply it to their uniforms; ``quantile`` does so on a copy."""
+    ``run_mc`` apply it to their uniforms; ``quantile`` does so on a copy.
+
+    Only ``quantile`` can pass u = 1, where an unbounded law's quantile is
+    +inf (``log1p(-1)`` divides by zero), so the floating-point state that
+    lets that pass quietly is set here, once per call.  The samplers draw
+    their uniforms with ``Generator.random``, which never returns 1, so
+    ``_quantile_into`` itself sets no state and pays nothing for it."""
 
     def quantile(self, u):
         u = np.array(u, dtype=float)  # a copy: the argument is left as it was
@@ -36,7 +42,8 @@ class _Law:
         # empty argument has neither, and has nothing to refuse.
         if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
             raise ValueError("quantile argument must lie in [0, 1]")
-        self._quantile_into(u)
+        with np.errstate(divide="ignore"):
+            self._quantile_into(u)
         return float(u) if u.ndim == 0 else u
 
 
@@ -59,8 +66,7 @@ class Exponential(_Law):
         # -log1p(-u) / rate, with the outer sign moved onto the rate: a
         # quotient's sign is exact, so the doubles are the same.
         np.negative(u, out=u)
-        with np.errstate(divide="ignore"):
-            np.log1p(u, out=u)
+        np.log1p(u, out=u)
         np.divide(u, -self.rate, out=u)
 
 
@@ -168,9 +174,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _indicators(delta, dtype) -> np.ndarray:
     """``delta`` cast to ``dtype`` once every entry is checked to be 0 or 1;
-    the check comes first because the cast would truncate 0.5 to 0."""
+    the check comes first because the cast would truncate 0.5 to 0.
+
+    A boolean array skips the check: it can only hold False and True, and
+    the cast maps every byte of a boolean, even one other than 0 or 1, to 0
+    or 1, as the check would have passed it.  ``simulate`` hands over its
+    boolean indicators for this reason."""
     raw = np.asarray(delta)
-    if not ((raw == 0) | (raw == 1)).all():
+    if raw.dtype != bool and not ((raw == 0) | (raw == 1)).all():
         raise ValueError("delta entries must be 0 or 1")
     return raw.astype(dtype)
 
@@ -246,7 +257,7 @@ class SortedSample:
             starts = np.arange(n, dtype=np.intp)
         else:
             delta = sample.delta[np.argsort(sample.y, kind="stable")]
-            starts = np.flatnonzero(opens)
+            starts = opens.nonzero()[0]
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "delta", _freeze(delta))
         object.__setattr__(self, "group_start", _freeze(starts))
@@ -317,7 +328,7 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     u = np.random.default_rng(seed).random((3, n))
     delta, uncured = np.empty((2, n), dtype=bool)
     y = _records_into(spec, u, delta, uncured)
-    return CurrentStatusSample(delta=delta.view(np.int8), y=y)
+    return CurrentStatusSample(delta=delta, y=y)
 
 
 def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:

@@ -5,7 +5,8 @@ package code: adaptive quadrature for moments, golden-section search for
 argmins, an exact dynamic program (plus a brute enumerator) for
 grid-constrained likelihood maxima, the literal max-min formula for the
 shape-constrained fit, the studentized tail statistics read off the full
-estimator trace, and the guarded cut-off argmin by full-length masks.
+estimator trace, the guarded cut-off argmin by full-length masks, and the
+closed-form frequency of the probe's saturation event.
 """
 
 import itertools
@@ -115,6 +116,20 @@ def top_order_statistic_cdf_mean(n: int, event_rate: float, inspect_rate: float)
     val, err = quad(lambda t: (1.0 - (1.0 - t) ** ratio) * n * t ** (n - 1), 0.0, 1.0)
     assert err < 1e-9
     return val
+
+
+def saturation_probability(n: int, p: float, event_rate: float, inspect_rate: float) -> float:
+    """P(indicator at the largest of n inspection times is 1) for untied data
+    with F = Exp(a) and G = Exp(b): (1 - p) E[F(Y_(n))] =
+    (1 - p)(1 - Gamma(n+1) Gamma(1 + a/b) / Gamma(n+1 + a/b)).
+
+    With t = G(Y_(n)), which has density n t^(n-1), e^(-a Y_(n)) is
+    (1 - t)^(a/b), and its mean is n B(n, 1 + a/b): the Beta integral in
+    closed form, where ``top_order_statistic_cdf_mean`` takes it by
+    quadrature.  The gamma ratio is taken in logs."""
+    r = event_rate / inspect_rate
+    log_ratio = math.lgamma(n + 1) + math.lgamma(1.0 + r) - math.lgamma(n + 1 + r)
+    return (1.0 - p) * -math.expm1(log_ratio)
 
 
 def mse_profile_by_quadrature(x: float, n: int, p: float,

@@ -29,7 +29,12 @@ from curest import (
 )
 from curest import estimators
 
-from oracles import event_indicator_mean, golden_argmin, mse_profile_by_quadrature
+from oracles import (
+    event_indicator_mean,
+    golden_argmin,
+    mse_profile_by_quadrature,
+    select_cutoff_reference,
+)
 
 
 def sorted_toy(deltas, ys=None):
@@ -372,6 +377,22 @@ def test_select_skips_zero_variance_candidates():
     bias[3] = 0.0
     curve = make_curve(12, variance, bias)
     assert select_cutoff(curve, guard=5).index == 4
+
+
+def test_select_ties_among_the_remaining_candidates_go_to_the_smallest_index():
+    # Zero-variance entries 1 and 5 have the lowest objective and are
+    # excluded; among the candidates left, entries 3, 6 and 8 tie exactly
+    # for the minimum, and the smallest of them wins.
+    variance = np.full(12, 0.25)
+    variance[[1, 5]] = 0.0
+    bias = np.full(12, 0.5)
+    bias[[1, 5]] = 0.0
+    bias[[3, 6, 8]] = 0.125
+    curve = make_curve(12, variance, bias)
+    assert curve.objective[3] == curve.objective[6] == curve.objective[8]
+    pick = select_cutoff(curve, guard=2)
+    assert pick.index == 4
+    assert pick == select_cutoff_reference(curve, guard=2)
 
 
 def test_select_error_cases():

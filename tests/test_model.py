@@ -12,6 +12,7 @@ from curest import (
     MixtureSpec,
     SortedSample,
     TabulatedQuantile,
+    npmle_pava,
     read_csv,
     simulate,
     sort_with_concomitants,
@@ -181,6 +182,43 @@ def test_sorted_sample_checks_records(delta, y):
     # constructor owns the record checks.
     with pytest.raises(ValueError):
         CurrentStatusSample(delta=np.asarray(delta), y=np.asarray(y, dtype=float))
+
+
+def test_boolean_and_int8_indicators_give_the_same_sample():
+    # A boolean array skips the value check; the sample it gives must be the
+    # one its int8 twin gives, byte for byte.
+    rng = np.random.default_rng(5)
+    delta = rng.random(50) < 0.6
+    y = rng.random(50)
+    from_bool = CurrentStatusSample(delta=delta, y=y)
+    from_int8 = CurrentStatusSample(delta=delta.astype(np.int8), y=y)
+    assert from_bool.delta.dtype == from_int8.delta.dtype == np.int8
+    assert from_bool.delta.tobytes() == from_int8.delta.tobytes()
+    assert from_bool.y.tobytes() == from_int8.y.tobytes()
+
+
+def test_a_boolean_byte_other_than_0_or_1_is_read_as_1():
+    raw = np.frombuffer(bytes([0, 1, 2, 255]), dtype=bool)
+    sample = CurrentStatusSample(delta=raw, y=np.array([1.0, 2.0, 3.0, 4.0]))
+    assert sample.delta.tolist() == [0, 1, 1, 1]
+    assert npmle_pava(raw).fhat.tolist() == npmle_pava([0, 1, 1, 1]).fhat.tolist()
+
+
+@pytest.mark.parametrize("bad", [0.5, 2, -1, math.nan])
+def test_indicators_other_than_0_or_1_are_still_refused(bad):
+    with pytest.raises(ValueError, match="0 or 1"):
+        CurrentStatusSample(delta=np.array([1, bad]), y=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="0 or 1"):
+        npmle_pava(np.array([1, bad]))
+
+
+def test_simulate_hands_its_boolean_indicators_to_the_sample(monkeypatch):
+    seen = []
+    check = model._indicators
+    monkeypatch.setattr(model, "_indicators", lambda *a: seen.append(a[0].dtype) or check(*a))
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    sample = simulate(spec, 20, 3)
+    assert seen == [np.dtype(bool)] and sample.delta.dtype == np.int8
 
 
 def test_sorted_sample_derives_tie_groups_from_y():

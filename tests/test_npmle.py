@@ -24,6 +24,7 @@ from oracles import (
     grid_loglik_max_dp,
     maxmin_brute,
     random_feasible_vector,
+    saturation_probability,
     top_order_statistic_cdf_mean,
 )
 
@@ -219,6 +220,36 @@ def test_inconsistency_probe_degenerate_and_quantitative():
     assert abs(closed - oracle) <= 1e-9
     freq = inconsistency_probe(spec, 10, 2000, seed=9100)
     assert abs(freq - closed) <= 0.02
+
+
+PROBE_REPS = 4000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 5, 50])
+def test_inconsistency_probe_matches_its_closed_form_law(n, workers):
+    # The probe counts Bernoulli events of probability q, the closed form,
+    # so its frequency is a binomial proportion, held to |z| <= 4 on the
+    # binomial standard error.
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    q = saturation_probability(n, 0.3, 2.0, 1.0)
+    freq = inconsistency_probe(spec, n, PROBE_REPS, seed=8000 + 100 * workers + n, workers=workers)
+    z = (freq - q) / math.sqrt(q * (1.0 - q) / PROBE_REPS)
+    assert abs(z) <= 4.0, f"n={n}: frequency {freq:.4f}, exact {q:.4f}, z {z:+.2f}"
+
+
+def test_saturation_probability_agrees_with_quadrature_and_its_limits():
+    # The hand value of test_inconsistency_probe_degenerate_and_quantitative.
+    closed = 0.7 * (1.0 - 2.0 / 132.0)
+    assert saturation_probability(10, 0.3, 2.0, 1.0) == pytest.approx(closed, rel=1e-12)
+    for n in (1, 5, 50):
+        assert saturation_probability(n, 0.3, 2.0, 1.0) == pytest.approx(
+            0.7 * top_order_statistic_cdf_mean(n, 2.0, 1.0), rel=1e-9
+        )
+    # With one record the event is delta = 1: (1 - p) a / (a + b).
+    assert saturation_probability(1, 0.3, 2.0, 1.0) == pytest.approx(0.7 * 2.0 / 3.0, rel=1e-12)
+    # It rises towards 1 - p, the inconsistency: the fit saturates ever more often.
+    assert saturation_probability(10**6, 0.3, 2.0, 1.0) == pytest.approx(0.7, abs=1e-9)
 
 
 def test_inconsistency_probe_worker_count_is_invisible():
