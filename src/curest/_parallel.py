@@ -1,5 +1,8 @@
 """Seeded replications, fanned out over worker processes.
 
+``replicate_seeds`` is the one replication path: ``run_mc``,
+``thinning_check`` and ``inconsistency_probe`` each pass it a workspace
+class whose instance draws and reduces the replications of one span.
 Replication k of a run with base seed ``seed`` uses seed ``seed + k``;
 ``_span`` is the only place that derives it.  Replications run in contiguous
 spans, one span for one worker, else up to four per worker, and are joined
@@ -8,9 +11,7 @@ in replication order, so results never depend on the worker count.
 
 from __future__ import annotations
 
-from functools import partial
-
-from .model import _check_count, simulate
+from .model import _check_count
 
 
 def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
@@ -49,14 +50,3 @@ def replicate_seeds(per_span, reps: int, seed: int, workers: int = 1) -> list:
     worker, ``per_span`` must pickle; ``one`` need not."""
     chunks = map_replication_chunks(_span, (per_span, seed), reps, workers)
     return [value for chunk in chunks for value in chunk]
-
-
-def _sampled(stat, spec, n: int):
-    return lambda seed: stat(simulate(spec, n, seed))
-
-
-def replicate(stat, spec, n: int, reps: int, seed: int, workers: int = 1) -> list:
-    """``[stat(simulate(spec, n, seed + k)) for k in range(reps)]`` for any
-    worker count.  With more than one worker, ``stat`` must pickle: a
-    module-level function, or one bound with ``functools.partial``."""
-    return replicate_seeds(partial(_sampled, stat, spec, n), reps, seed, workers)

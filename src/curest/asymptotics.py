@@ -17,15 +17,14 @@ from functools import partial
 
 import numpy as np
 
-from ._parallel import replicate, replicate_seeds
-from .estimators import _suffix_means, _tail_means, theoretical_cutoff_exponential
+from ._parallel import replicate_seeds
+from .estimators import _suffix_means, theoretical_cutoff_exponential, trace
 from .model import (
     Exponential,
     MixtureSpec,
     SortedSample,
     _check_count,
-    _check_times,
-    _records_into,
+    _Draws,
     _sort_records,
     _tail_start,
 )
@@ -99,14 +98,11 @@ def z_stats(
     if not (0.0 < p_true < 1.0):
         raise ValueError(f"p_true must lie strictly inside (0, 1), got {p_true!r}")
     i = ss.tail_start(_checked_cutoff(x_n))
-    # Position i opens tie group g and the tail is the m = n - i records
-    # from there on.  p1 and its running maximum p2 are read off the tail
-    # means at the group openings up to g.
-    starts = ss.group_start
-    g = int(np.searchsorted(starts, i, side="left"))
-    means = _tail_means(ss, starts[: g + 1])
-    m = ss.n - i
-    z1, z2 = _z_pair(float(means[-1]), float(means.max()), m, p_true, studentization)
+    # Position i opens tie group g, entry g of the sample's trace, and the
+    # tail is the m = n - i records from there on.
+    g = int(ss.group_start.searchsorted(i))
+    tr, m = trace(ss), ss.n - i
+    z1, z2 = _z_pair(float(tr.p1[g]), float(tr.p2[g]), m, p_true, studentization)
     return ZStatPair(z1=z1, z2=z2, tail_count=m)
 
 
@@ -245,36 +241,31 @@ class McResult:
         return self.rep_index.size
 
 
-class _McSpan:
+class _McSpan(_Draws):
     """The replications of one span of ``run_mc``, drawn in one workspace.
 
     The buffers are allocated once per span and reused by every
-    replication: a ``(3, n)`` block of uniforms, whose rows are spent in
-    turn and then hold the sorted times (row 0), the suffix sums (row 1) and
-    the tail means (row 2); the packed keys; the indicators; the tie-group
-    marks; and the tail counts 1..n.  That is 5.25 doubles per record, and a
-    replication allocates no array of the sample's length.  It takes the
-    steps of ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and
-    ``z_stats`` on the same kernels, so its (z1, z2) are the same doubles.
+    replication: the draw's ``(3, n)`` block of uniforms, whose rows are
+    spent in turn and then hold the sorted times (row 0), the suffix sums
+    (row 1) and the tail means (row 2); the packed keys; the indicators;
+    the draw's scratch, which then holds the tie-group marks; and the tail
+    counts 1..n.  That is 5.25 doubles per record, and a replication
+    allocates no array of the sample's length.  It takes the steps of
+    ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
+    on the same kernels, so its (z1, z2) are the same doubles.
     """
 
     def __init__(self, config: McConfig) -> None:
-        n = config.n
+        super().__init__(config.spec, config.n)
         self.config = config
-        self.u = np.empty((3, n))
-        self.key = np.empty(n, dtype=np.uint64)
-        self.delta = np.empty(n, dtype=bool)
-        self.opens = np.empty(n, dtype=bool)
-        self.counts = np.arange(1.0, n + 1.0)
+        self.key = np.empty(config.n, dtype=np.uint64)
+        self.counts = np.arange(1.0, config.n + 1.0)
 
     def __call__(self, seed: int) -> tuple[float, float] | None:
-        config, u = self.config, self.u
-        np.random.default_rng(seed).random(out=u)  # the stream of ``simulate``
-        # The tie-group marks are free until the sort: they take the scratch.
-        y = _records_into(config.spec, u, self.delta, self.opens)
-        _check_times(y)
+        config, u, opens = self.config, self.u, self.scratch
+        y = self.draw(seed)
         ys = u[0]
-        untied = _sort_records(y, self.delta, self.key, ys, self.opens)
+        untied = _sort_records(y, self.delta, self.key, ys, opens)
         x = config.cutoff._threshold(config.spec, ys)
         if x > ys[-1]:
             return None
@@ -289,7 +280,7 @@ class _McSpan:
         sums, means = u[1].view(np.uint64), u[2]
         np.bitwise_and(self.key[::-1], 1, out=sums)
         _suffix_means(sums, self.counts, means, lo)
-        opening = True if untied else self.opens[::-1][lo:]
+        opening = True if untied else opens[::-1][lo:]
         p2 = means[lo:].max(where=opening, initial=-math.inf)
         return _z_pair(
             float(means[lo]), float(p2), ys.size - i, config.spec.p, config.studentization
@@ -382,11 +373,25 @@ class ThinningStats:
     corr: np.ndarray
 
 
-def _tail_split(thresholds: np.ndarray, sample) -> np.ndarray:
-    """Tail records with indicator 1 (row 0) and 0 (row 1) at each threshold."""
-    in_tail = sample.y >= thresholds[:, None]
-    ones = np.count_nonzero(in_tail & (sample.delta == 1), axis=1)
-    return np.stack([ones, np.count_nonzero(in_tail, axis=1) - ones]).astype(np.int64)
+class _ThinningSpan(_Draws):
+    """The replications of one span of ``thinning_check``: the tail records
+    with indicator 1 (row 0) and 0 (row 1) at each threshold, counted with
+    the draw's scratch as the tail mask."""
+
+    def __init__(self, spec: MixtureSpec, n: int, thresholds: np.ndarray) -> None:
+        super().__init__(spec, n)
+        self.thresholds = thresholds.tolist()
+
+    def __call__(self, seed: int) -> np.ndarray:
+        y, mask = self.draw(seed), self.scratch
+        counts = np.empty((2, len(self.thresholds)), dtype=np.int64)
+        for k, x in enumerate(self.thresholds):
+            np.greater_equal(y, x, out=mask)
+            tail = np.count_nonzero(mask)
+            np.logical_and(mask, self.delta, out=mask)
+            ones = np.count_nonzero(mask)
+            counts[:, k] = ones, tail - ones
+        return counts
 
 
 def _ratio(var: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -398,15 +403,16 @@ def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
     the requested expected tail sizes.
 
     Threshold k is the inspection quantile 1 - target/n, so the expected
-    tail count there is exactly ``target`` (continuous inspection law).  The
-    result is identical for any worker count (see ``replicate``).
+    tail count there is exactly ``target`` (continuous inspection law).
+    Each span of replications reuses one workspace (see ``_ThinningSpan``),
+    and the result is identical for any worker count (see
+    ``replicate_seeds``).
     """
     n, reps = config.n, config.reps
     targets = np.asarray(config.target_means, dtype=float)
     thresholds = np.asarray(config.spec.inspection.quantile(1.0 - targets / n), dtype=float)
-    rows = replicate(
-        partial(_tail_split, thresholds), config.spec, n, reps, config.seed, workers
-    )
+    per_span = partial(_ThinningSpan, config.spec, n, thresholds)
+    rows = replicate_seeds(per_span, reps, config.seed, workers)
     n1, n0 = np.stack(rows, axis=1)
     mean_n1 = n1.mean(axis=0)
     mean_n0 = n0.mean(axis=0)

@@ -27,8 +27,8 @@ _PAD = " \t"  # the only padding a CSV field may carry
 
 class _Law:
     """A law sampled by its quantile function.  Each law computes its
-    quantiles in place (``_quantile_into``), which is how ``simulate`` and
-    ``run_mc`` apply it to their uniforms; ``quantile`` does so on a copy.
+    quantiles in place (``_quantile_into``), which is how ``_draw_into``
+    applies it to its uniforms; ``quantile`` does so on a copy.
 
     Only ``quantile`` can pass u = 1, where an unbounded law's quantile is
     +inf (``log1p(-1)`` divides by zero), so the floating-point state that
@@ -296,21 +296,42 @@ def _sort_records(y, delta, key, y_sorted, opens) -> bool:
     return bool(opens.all())
 
 
-def _records_into(
-    spec: MixtureSpec, u: np.ndarray, delta: np.ndarray, uncured: np.ndarray
+def _draw_into(
+    spec: MixtureSpec, seed: int, u: np.ndarray, delta: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
-    """Turn one ``(3, n)`` block of uniforms into records, in place: row 1
-    becomes the event times and row 2 the inspection times, which are
-    returned, and the indicators go to the boolean array ``delta``, with
-    the boolean array ``uncured`` as scratch."""
+    """Draw the records of ``seed`` in place, the one place that turns a
+    seed into records (see ``simulate`` for the stream layout): the uniforms
+    fill the ``(3, n)`` block ``u``, whose row 1 becomes the event times and
+    row 2 the inspection times, which are returned; the indicators go to the
+    boolean array ``delta``, with the boolean array ``scratch`` as scratch."""
+    np.random.default_rng(seed).random(out=u)
     u_cure, event_time, y = u
     spec.event._quantile_into(event_time)
     spec.inspection._quantile_into(y)
     # A cured subject (u_cure < p) never has the event.
-    np.greater_equal(u_cure, spec.p, out=uncured)
+    np.greater_equal(u_cure, spec.p, out=scratch)
     np.less_equal(event_time, y, out=delta)
-    np.logical_and(delta, uncured, out=delta)
+    np.logical_and(delta, scratch, out=delta)
     return y
+
+
+class _Draws:
+    """A workspace for draws of ``n`` records, reused from draw to draw: the
+    block of uniforms ``u``, the indicators ``delta`` and one boolean
+    ``scratch`` array, which is free again once a draw returns.  ``draw``
+    returns the checked inspection times of a seed, as ``simulate`` draws
+    them."""
+
+    def __init__(self, spec: MixtureSpec, n: int) -> None:
+        self.spec = spec
+        self.u = np.empty((3, n))
+        self.delta = np.empty(n, dtype=bool)
+        self.scratch = np.empty(n, dtype=bool)
+
+    def draw(self, seed: int) -> np.ndarray:
+        y = _draw_into(self.spec, seed, self.u, self.delta, self.scratch)
+        _check_times(y)
+        return y
 
 
 def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
@@ -325,9 +346,9 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
-    u = np.random.default_rng(seed).random((3, n))
+    u = np.empty((3, n))
     delta, uncured = np.empty((2, n), dtype=bool)
-    y = _records_into(spec, u, delta, uncured)
+    y = _draw_into(spec, seed, u, delta, uncured)
     return CurrentStatusSample(delta=delta, y=y)
 
 

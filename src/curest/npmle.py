@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._parallel import replicate
-from .model import MixtureSpec, _indicators
+from ._parallel import replicate_seeds
+from .model import MixtureSpec, _check_count, _Draws, _indicators
 
 
 @dataclass(frozen=True)
@@ -119,10 +120,14 @@ def npmle_cure_argmax_interval(fit: NpmleFit) -> CureArgmaxInterval:
     return CureArgmaxInterval(lo=0.0, hi=1.0 - float(fit.fhat[-1]))
 
 
-def _top_indicator(sample) -> int:
-    """Indicator of the last record after the stable sort by inspection time:
-    the last record holding the largest ``y``."""
-    return int(sample.delta[sample.n - 1 - int(np.argmax(sample.y[::-1]))])
+class _ProbeSpan(_Draws):
+    """The replications of one span of ``inconsistency_probe``: the
+    indicator of the last record after the stable sort by inspection time,
+    which is the last record holding the largest ``y``."""
+
+    def __call__(self, seed: int) -> int:
+        y = self.draw(seed)
+        return int(self.delta[y.size - 1 - int(np.argmax(y[::-1]))])
 
 
 def inconsistency_probe(
@@ -133,6 +138,9 @@ def inconsistency_probe(
     That event is exactly {indicator at the largest inspection time is 1};
     when it happens the flat argmax interval for the cure fraction collapses
     to {0}, so this frequency measures how often the plain profile argmax is
-    useless.  Replication k uses seed ``seed + k`` (see ``replicate``).
+    useless.  Replication k uses seed ``seed + k``; each span of
+    replications reuses one workspace (see ``replicate_seeds``).
     """
-    return sum(replicate(_top_indicator, spec, n, reps, seed, workers)) / reps
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
+    return sum(replicate_seeds(partial(_ProbeSpan, spec, n), reps, seed, workers)) / reps

@@ -5,8 +5,9 @@ package code: adaptive quadrature for moments, golden-section search for
 argmins, an exact dynamic program (plus a brute enumerator) for
 grid-constrained likelihood maxima, the literal max-min formula for the
 shape-constrained fit, the studentized tail statistics read off the full
-estimator trace, the guarded cut-off argmin by full-length masks, and the
-closed-form frequency of the probe's saturation event.
+estimator trace, the guarded cut-off argmin by full-length masks, the
+closed-form frequency of the probe's saturation event, and the closed-form
+chances of the thinning check's two tail cells.
 """
 
 import itertools
@@ -130,6 +131,19 @@ def saturation_probability(n: int, p: float, event_rate: float, inspect_rate: fl
     r = event_rate / inspect_rate
     log_ratio = math.lgamma(n + 1) + math.lgamma(1.0 + r) - math.lgamma(n + 1 + r)
     return (1.0 - p) * -math.expm1(log_ratio)
+
+
+def thinning_cell_probabilities(x: float, p: float, event_rate: float, inspect_rate: float):
+    """(q1, q0): the chances that one record lies in the tail y >= x with
+    indicator 1 and with indicator 0, for F = Exp(a) and G = Exp(b).
+
+    q1 = (1 - p) P(Y >= x, T <= Y) = (1 - p)(e^(-bx) - b/(a+b) e^(-(a+b)x)),
+    the integral of (1 - e^(-ay)) b e^(-by) over y >= x, and q0 is the rest
+    of the tail chance e^(-bx)."""
+    a, b = event_rate, inspect_rate
+    tail = math.exp(-b * x)
+    q1 = (1.0 - p) * (tail - b / (a + b) * math.exp(-(a + b) * x))
+    return q1, tail - q1
 
 
 def mse_profile_by_quadrature(x: float, n: int, p: float,

@@ -25,6 +25,8 @@ from curest import (
 )
 from curest.asymptotics import CutoffRule
 
+from oracles import thinning_cell_probabilities
+
 
 def sorted_toy(deltas, ys=None):
     deltas = np.asarray(deltas)
@@ -311,6 +313,33 @@ def test_thinning_validation():
         ThinningConfig(spec, 100, [500.0], reps=5, seed=0)
     with pytest.raises(ValueError):
         ThinningConfig(spec, 100, [10.0], reps=0, seed=0)
+
+
+THINNING_REPS = 4000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_thinning_counts_match_their_closed_form_law(workers):
+    # Each replication's counts (n1, n0) are two cells of a multinomial with
+    # n trials and the closed-form cell chances, so each mean over the
+    # replications is held to |z| <= 4 on its binomial standard error.
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    n = 2000
+    config = ThinningConfig(spec, n, [5.0, 40.0], THINNING_REPS, seed=9000 + 100 * workers)
+    stats = thinning_check(config, workers=workers)
+    for k, x in enumerate(stats.threshold):
+        cells = thinning_cell_probabilities(float(x), 0.3, 2.0, 1.0)
+        for name, mean, q in zip(("n1", "n0"), (stats.mean_n1[k], stats.mean_n0[k]), cells):
+            z = (mean - n * q) / math.sqrt(n * q * (1.0 - q) / THINNING_REPS)
+            assert abs(z) <= 4.0, f"x={x:.4f} {name}: mean {mean:.4f}, exact {n * q:.4f}, z {z:+.2f}"
+
+
+def test_thinning_cell_probabilities_agree_with_quadrature():
+    for x in (0.0, 0.5, 3.0):
+        q1, q0 = thinning_cell_probabilities(x, 0.3, 2.0, 1.0)
+        ones, _ = quad(lambda y: (1.0 - math.exp(-2.0 * y)) * math.exp(-y), x, np.inf)
+        assert q1 == pytest.approx(0.7 * ones, rel=1e-9)
+        assert q1 + q0 == pytest.approx(math.exp(-x), rel=1e-12)
 
 
 def test_thinning_worker_count_is_invisible():

@@ -327,7 +327,6 @@ def test_an_optimal_cutoff_past_the_largest_float_is_usage_error(tmp_path, monke
     def no_replication(*args):
         raise AssertionError("a replication ran")
 
-    monkeypatch.setattr(asymptotics, "replicate", no_replication)
     monkeypatch.setattr(asymptotics, "replicate_seeds", no_replication)
     data = tmp_path / "toy.csv"
     write_toy(data, [(1, 1.0), (0, 2.0), (1, 3.0)])

@@ -266,6 +266,25 @@ def test_inconsistency_probe_refuses_fractional_reps():
         inconsistency_probe(spec, 20, 2.5, 0)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "n, seed, message",
+    [
+        (0, 0, "n must be an integer of at least 1, got 0"),
+        (2.5, 0, "n must be an integer of at least 1, got 2.5"),
+        (-1, 0, "n must be an integer of at least 1, got -1"),
+        (20, -1, "seed must be an integer of at least 0, got -1"),
+        (20, 1.5, "seed must be an integer of at least 0, got 1.5"),
+    ],
+    ids=["n=0", "n=2.5", "n=-1", "seed=-1", "seed=1.5"],
+)
+def test_inconsistency_probe_refuses_bad_sizes_and_seeds(n, seed, message, workers):
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    with pytest.raises(ValueError) as info:
+        inconsistency_probe(spec, n, 5, seed, workers=workers)
+    assert str(info.value) == message
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="npmle_pava fits records one by one, so the order of records inside "

@@ -6,6 +6,7 @@ import math
 import sys
 import tempfile
 from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -22,9 +23,11 @@ from curest import (
     MixtureSpec,
     SortedSample,
     TabulatedQuantile,
+    ThinningConfig,
     cv_m1_curve,
     cv_m2_curve,
     estimate_cure,
+    inconsistency_probe,
     npmle_pava,
     plug_ins,
     read_csv,
@@ -33,13 +36,15 @@ from curest import (
     simulate,
     sort_with_concomitants,
     theoretical_cutoff_exponential,
+    thinning_check,
     trace,
     write_csv,
     z_stats,
 )
 from curest import _parallel
-from curest._parallel import chunk_spans, replicate
-from curest.npmle import _top_indicator
+from curest._parallel import chunk_spans, replicate_seeds
+from curest.model import _Draws
+from curest.npmle import _ProbeSpan
 
 from oracles import (
     maxmin_brute,
@@ -244,21 +249,30 @@ def test_the_closed_form_cutoff_is_accurate_or_refused(n, p, lam, mu):
     assert abs(x - want) <= slack + 5e-324
 
 
+class DrawnBytes(_Draws):
+    """A span workspace returning the bytes of each draw as ``simulate``'s
+    sample holds them: int8 indicators, and ``-0.0`` stored as ``0.0``."""
+
+    def __call__(self, seed):
+        y = self.draw(seed)
+        return self.delta.astype(np.int8).tobytes() + (y + 0.0).tobytes()
+
+
 @FEW_CASES
 @given(
     p=st.floats(0.0, 1.0),
     n=st.integers(1, 30),
     reps=st.integers(1, 12),
     seed=st.integers(0, 2**32),
+    workers=st.sampled_from([1, 3]),
 )
-def test_replicate_is_the_seeded_list_comprehension(p, n, reps, seed):
+def test_replicate_seeds_is_the_seeded_list_comprehension(p, n, reps, seed, workers):
+    # One workspace serves a whole span, so each draw must overwrite all of
+    # the previous one.
     spec = MixtureSpec(p=p, event=Exponential(2.0), inspection=Exponential(1.0))
-
-    def stat(sample):
-        return sample.delta.tobytes() + sample.y.tobytes()
-
-    expected = [stat(simulate(spec, n, seed + k)) for k in range(reps)]
-    assert replicate(stat, spec, n, reps, seed, workers=1) == expected
+    samples = (simulate(spec, n, seed + k) for k in range(reps))
+    expected = [s.delta.tobytes() + s.y.tobytes() for s in samples]
+    assert replicate_seeds(partial(DrawnBytes, spec, n), reps, seed, workers) == expected
 
 
 @CASES
@@ -308,12 +322,6 @@ def test_sort_gives_the_bytes_of_a_stable_argsort(sample):
 def test_sort_of_a_large_simulated_sample_gives_the_bytes_of_a_stable_argsort():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     assert_stable_argsort_bytes(simulate(spec, 100_000, 0))
-
-
-@CASES
-@given(sample=large_samples())
-def test_top_indicator_is_the_last_sorted_indicator(sample):
-    assert _top_indicator(sample) == sort_with_concomitants(sample).delta[-1]
 
 
 @CASES
@@ -387,6 +395,10 @@ MC_DESIGNS = {
     # delta is exactly 1 minus the cure mark.
     "point-mass event": lambda p: MixtureSpec(
         p, TabulatedQuantile.point_mass(0.0), Exponential(1.0)
+    ),
+    # Half the inspections fall on a point mass given as -0.0.
+    "signed-zero table": lambda p: MixtureSpec(
+        p, Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (-0.0, -0.0, 2.0))
     ),
 }
 
@@ -463,3 +475,61 @@ def test_the_chain_examples_reach_their_edge_cases():
     assert run_mc(degenerate).nonfinite > 0
     tied = SortedSample(simulate(MC_DESIGNS["tied visits"](0.3), 500, 11))
     assert tied.group_start.size < tied.n
+
+
+def public_thinning(config, thresholds):
+    """thinning_check's (n1, n0) from the public per-sample chain: the
+    tail at each threshold is read off the sorted sample."""
+    rows = []
+    for k in range(config.reps):
+        ss = sort_with_concomitants(simulate(config.spec, config.n, config.seed + k))
+        row = []
+        for x in thresholds:
+            i = int(np.searchsorted(ss.y, x, side="left"))
+            ones = int(np.count_nonzero(ss.delta[i:]))
+            row.append((ones, ss.n - i - ones))
+        rows.append(row)
+    counts = np.asarray(rows, dtype=np.int64)
+    return counts[..., 0].tobytes(), counts[..., 1].tobytes()
+
+
+@FEW_CASES
+@given(
+    design=st.sampled_from(sorted(MC_DESIGNS)),
+    p=st.sampled_from([0.0, 0.3, 1.0]),
+    n=st.one_of(st.integers(1, 30), st.integers(31, 2000)),
+    fractions=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
+    reps=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    workers=st.sampled_from([1, 3]),
+)
+def test_thinning_check_equals_the_public_per_sample_chain(
+    design, p, n, fractions, reps, seed, workers
+):
+    config = ThinningConfig(MC_DESIGNS[design](p), n, [f * n for f in fractions], reps, seed)
+    res = thinning_check(config, workers=workers)
+    targets = np.asarray(config.target_means)
+    want = config.spec.inspection.quantile(1.0 - targets / n)
+    assert res.threshold.tobytes() == np.asarray(want, dtype=float).tobytes()
+    assert (res.n1.tobytes(), res.n0.tobytes()) == public_thinning(config, res.threshold)
+    assert res.n1.shape == res.n0.shape == (reps, targets.size)
+
+
+@FEW_CASES
+@given(
+    design=st.sampled_from(sorted(MC_DESIGNS)),
+    p=st.sampled_from([0.0, 0.3, 1.0]),
+    n=st.one_of(st.integers(1, 30), st.integers(31, 2000)),
+    reps=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    workers=st.sampled_from([1, 3]),
+)
+def test_inconsistency_probe_equals_the_public_per_sample_chain(
+    design, p, n, reps, seed, workers
+):
+    # Each replication's indicator is the last one after the stable sort.
+    spec = MC_DESIGNS[design](p)
+    chain = [simulate(spec, n, seed + k) for k in range(reps)]
+    want = [int(sort_with_concomitants(sample).delta[-1]) for sample in chain]
+    assert replicate_seeds(partial(_ProbeSpan, spec, n), reps, seed, workers) == want
+    assert inconsistency_probe(spec, n, reps, seed, workers) == sum(want) / reps
