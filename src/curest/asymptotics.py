@@ -91,7 +91,9 @@ def z_stats(
     the realized tail count.  ``studentization='known-p'`` divides by
     sqrt(p_true (1 - p_true)); ``'plug-in'`` replaces p_true by 1 - p2 in
     the denominator only, which can degenerate to zero and then yields a
-    non-finite statistic rather than an exception.
+    non-finite statistic rather than an exception.  p1 and p2 are read off
+    the sample's ``trace``, so the first call on a sample builds and keeps
+    its whole trace, and later calls reuse it.
     """
     if studentization not in ("known-p", "plug-in"):
         raise ValueError(f"studentization must be 'known-p' or 'plug-in', got {studentization!r}")
@@ -146,7 +148,9 @@ class CutoffRule:
       fixed-tail     threshold at the order statistic keeping ``tail`` records
 
     A rule refuses a field its kind does not use, so a value given for it
-    is never silently dropped.
+    is never silently dropped.  Only ``fixed-tail`` reads the sample; the
+    other kinds are set by the design and n alone, so ``McConfig`` resolves
+    them once, at construction, and a run reads that one value.
     """
 
     kind: str
@@ -167,11 +171,11 @@ class CutoffRule:
             _check_count("fixed-tail rule's tail", self.tail, 1)
 
     def resolve(self, spec: MixtureSpec, ss: SortedSample) -> float:
-        return self._threshold(spec, ss.y)
+        return self._threshold(spec, ss.n, ss.y)
 
-    def _threshold(self, spec: MixtureSpec, y: np.ndarray) -> float:
-        """The threshold for the sorted inspection times ``y``."""
-        n = y.size
+    def _threshold(self, spec: MixtureSpec, n: int, y: np.ndarray | None) -> float:
+        """The threshold for a sample of ``n`` records; only ``fixed-tail``
+        reads their sorted inspection times ``y``."""
         if self.kind == "fixed-x":
             return float(self.x)
         if self.kind == "optimal":
@@ -190,7 +194,12 @@ def _optimal_cutoff(spec: MixtureSpec, n: int) -> float:
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replicated-run description; replication k uses seed ``seed + k``."""
+    """Replicated-run description; replication k uses seed ``seed + k``.
+
+    A cut-off that the design and n set (every kind but ``fixed-tail``) is
+    resolved here, once, so a design it refuses is refused before any
+    replication runs, and the replications read the kept value.
+    """
 
     spec: MixtureSpec
     n: int
@@ -207,10 +216,9 @@ class McConfig:
             raise ValueError("Monte Carlo centering needs 0 < p < 1")
         if self.studentization not in ("known-p", "plug-in"):
             raise ValueError("studentization must be 'known-p' or 'plug-in'")
-        if self.cutoff.kind == "optimal":
-            # It depends on the design alone, so a design it refuses is
-            # refused here, before any replication runs.
-            _optimal_cutoff(self.spec, self.n)
+        by_design = self.cutoff.kind != "fixed-tail"
+        x_n = self.cutoff._threshold(self.spec, self.n, None) if by_design else None
+        object.__setattr__(self, "_x_n", x_n)
 
 
 @dataclass(frozen=True)
@@ -252,7 +260,9 @@ class _McSpan(_Draws):
     counts 1..n.  That is 5.25 doubles per record, and a replication
     allocates no array of the sample's length.  It takes the steps of
     ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
-    on the same kernels, so its (z1, z2) are the same doubles.
+    on the same kernels, so its (z1, z2) are the same doubles.  It reads
+    the threshold that ``McConfig`` resolved, and resolves one per
+    replication only for ``fixed-tail``, the one kind that reads the sample.
     """
 
     def __init__(self, config: McConfig) -> None:
@@ -266,7 +276,9 @@ class _McSpan(_Draws):
         y = self.draw(seed)
         ys = u[0]
         untied = _sort_records(y, self.delta, self.key, ys, opens)
-        x = config.cutoff._threshold(config.spec, ys)
+        x = config._x_n
+        if x is None:
+            x = config.cutoff._threshold(config.spec, ys.size, ys)
         if x > ys[-1]:
             return None
         i = _tail_start(ys, _checked_cutoff(x))

@@ -27,7 +27,6 @@ from .estimators import (
     cv_m2_curve,
     estimate_cure,
     select_cutoff,
-    theoretical_cutoff_exponential,
     trace,
 )
 from .model import (
@@ -178,8 +177,7 @@ def cmd_estimate(args) -> int:
                 file=sys.stderr,
             )
             x_star = _checked(
-                args, _closed_form_flags(spec), theoretical_cutoff_exponential,
-                tr.n, spec.p, spec.event.rate, spec.inspection.rate,
+                args, _closed_form_flags(spec), CutoffRule("optimal").resolve, spec, ss
             )
             pos = ss.tail_start(x_star) + 1
         choice = choice_at_index(tr, pos, method=args.method, guard=guard)
@@ -221,8 +219,9 @@ def cmd_mc(args) -> int:
     stray = [f for f, value in given.items() if f != own and value is not None]
     flag = stray[0] if stray else own or "--cutoff"
     rule = _checked(args, flag, CutoffRule, args.cutoff, args.cutoff_x, args.tail_count)
-    # The count flags and the choices are checked by argparse, so McConfig
-    # can still reject only p at 0 or 1 and the optimal cut-off's rates.
+    # The count flags and the choices are checked by argparse, so McConfig,
+    # which resolves a cut-off set by the design once, can still reject only
+    # p at 0 or 1 and the optimal cut-off's rates.
     config = _checked(
         args, _closed_form_flags(spec), McConfig,
         spec, args.n, args.reps, args.seed, rule, args.studentization,

@@ -67,12 +67,7 @@ def npmle_pava(deltas) -> NpmleFit:
             c += counts.pop()
         sums.append(s)
         counts.append(c)
-    fhat = np.empty(d.size)
-    pos = 0
-    for s, c in zip(sums, counts):
-        fhat[pos : pos + c] = s / c
-        pos += c
-    return NpmleFit(fhat=fhat)
+    return NpmleFit(fhat=np.repeat(np.divide(sums, counts), counts))
 
 
 def log_lik(f, deltas) -> float:

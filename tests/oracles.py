@@ -4,8 +4,8 @@ Everything here recomputes expected values by a route different from the
 package code: adaptive quadrature for moments, golden-section search for
 argmins, an exact dynamic program (plus a brute enumerator) for
 grid-constrained likelihood maxima, the literal max-min formula for the
-shape-constrained fit, the studentized tail statistics read off the full
-estimator trace, the guarded cut-off argmin by full-length masks, the
+shape-constrained fit, the studentized tail statistics from their literal
+definitions on the sorted records, the guarded cut-off argmin by full-length masks, the
 closed-form frequency of the probe's saturation event, and the closed-form
 chances of the thinning check's two tail cells.
 """
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from curest import CutoffChoice, trace
+from curest import CutoffChoice
 from curest.model import _check_count
 from curest.npmle import NpmleFit, _as_indicator
 
@@ -48,14 +48,22 @@ def maxmin_brute(deltas) -> NpmleFit:
     return NpmleFit(fhat=fhat)
 
 
-def z_stats_from_trace(ss, x_n: float, p_true: float, studentization: str):
-    """(z1, z2, tail count) at cut-off ``x_n``, read from entry g of the
-    whole trace: the tail count, p1 and p2 of the first distinct threshold
-    at or above ``x_n``, then centered and scaled as ``z_stats`` documents."""
-    tr = trace(ss)
-    g = int(np.searchsorted(tr.y, x_n, side="left"))
-    m = int(tr.tail_count[g])
-    p1, p2 = float(tr.p1[g]), float(tr.p2[g])
+def z_stats_by_definition(ss, x_n: float, p_true: float, studentization: str):
+    """(z1, z2, tail count) at cut-off ``x_n`` from the sorted records
+    themselves: p1 is the tail's integer count of ones over its count, and
+    p2 the largest such mean over the distinct thresholds up to the
+    cut-off's own, the smallest inspection time at or above ``x_n``; both
+    are then centered and scaled as ``z_stats`` documents."""
+    y, ones = ss.y, ss.delta.astype(np.int64)
+
+    def tail_mean(t):
+        tail = y >= t
+        return int(ones[tail].sum()) / int(np.count_nonzero(tail))
+
+    cut = y[y >= x_n].min()
+    m = int(np.count_nonzero(y >= cut))
+    p1 = tail_mean(cut)
+    p2 = max(tail_mean(t) for t in np.unique(y[y <= cut]))
     if studentization == "known-p":
         scale = math.sqrt(p_true * (1.0 - p_true))
     else:

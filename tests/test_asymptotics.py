@@ -1,6 +1,8 @@
 """Studentized tail statistics, reference CDFs, replicated checks."""
 
+import concurrent.futures
 import math
+from concurrent.futures import Future
 
 import mpmath
 import numpy as np
@@ -235,6 +237,61 @@ def test_mc_config_validation():
     )
     with pytest.raises(ValueError, match="optimal cut-off needs exponential"):
         McConfig(spec=mixed, n=10, reps=5, seed=0, cutoff=CutoffRule(kind="optimal"))
+
+
+class _InlinePool:
+    """A ``ProcessPoolExecutor`` stand-in running each span in this process,
+    so a patched method is seen by every span."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "rule, resolutions",
+    [
+        (CutoffRule("fixed-x", x=0.5), 1),
+        (CutoffRule("optimal"), 1),
+        (CutoffRule("undersmoothed"), 1),
+        (CutoffRule("fixed-tail", tail=7), 11),
+    ],
+)
+def test_a_run_resolves_a_cutoff_set_by_the_design_once(monkeypatch, rule, resolutions, workers):
+    # 11 replications: one span for one worker, 11 spans for three.
+    calls = []
+    threshold = CutoffRule._threshold
+
+    def counted(self, *args):
+        calls.append(self.kind)
+        return threshold(self, *args)
+
+    monkeypatch.setattr(CutoffRule, "_threshold", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    res = run_mc(McConfig(spec, 100, 11, 3, rule), workers=workers)
+    assert res.retained + res.skipped == 11
+    assert calls == [rule.kind] * resolutions
+
+
+def test_a_negative_inspection_table_is_refused_at_the_first_draw():
+    # The undersmoothed cut-off of this table is negative, but the draw's
+    # check of the inspection times comes first, as in the public chain.
+    spec = MixtureSpec(0.3, Exponential(2.0), TabulatedQuantile((0.0, 1.0), (-2.0, -1.0)))
+    config = McConfig(spec, 50, 3, 0, CutoffRule("undersmoothed"))
+    with pytest.raises(ValueError, match="inspection times must be finite and nonnegative"):
+        run_mc(config)
 
 
 def _mc_config(**change):

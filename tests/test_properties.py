@@ -50,7 +50,7 @@ from oracles import (
     maxmin_brute,
     optimal_cutoff_hp,
     select_cutoff_reference,
-    z_stats_from_trace,
+    z_stats_by_definition,
 )
 
 # Inspection times drawn mostly from a handful of values, so most samples
@@ -371,7 +371,7 @@ def test_z_stats_reads_the_trace_entry_of_its_cutoff(sample, where, data):
     for studentization in ("known-p", "plug-in"):
         p_true = data.draw(st.sampled_from([0.3, 0.5, 0.9]))
         got = z_stats(sample, x, p_true, studentization)
-        want = z_stats_from_trace(sample, x, p_true, studentization)
+        want = z_stats_by_definition(sample, x, p_true, studentization)
         assert np.array([got.z1, got.z2]).tobytes() == np.array(want[:2]).tobytes()
         assert got.tail_count == want[2]
 
