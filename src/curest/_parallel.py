@@ -28,7 +28,7 @@ def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
     results come back in span order for any worker count."""
     _check_count("workers", workers, 1)
     spans = chunk_spans(reps, workers)
-    if workers == 1 or len(spans) == 1:
+    if len(spans) == 1:
         return [fn(*args, a, b) for a, b in spans]
     from concurrent.futures import ProcessPoolExecutor  # here: one worker needs no pool
 

@@ -52,7 +52,7 @@ def std_normal_cdf(x):
 def half_normal_cdf(x):
     """CDF of |Z| for standard normal Z: 2 Phi(x) - 1 on x >= 0, else 0."""
     x = np.asarray(x, dtype=float)
-    out = np.where(x < 0.0, 0.0, 2.0 * std_normal_cdf(np.maximum(x, 0.0)) - 1.0)
+    out = np.where(x < 0.0, 0.0, 2.0 * std_normal_cdf(x) - 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -425,11 +425,11 @@ def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
     thresholds = np.asarray(config.spec.inspection.quantile(1.0 - targets / n), dtype=float)
     per_span = partial(_ThinningSpan, config.spec, n, thresholds)
     rows = replicate_seeds(per_span, reps, config.seed, workers)
-    n1, n0 = np.stack(rows, axis=1)
-    mean_n1 = n1.mean(axis=0)
-    mean_n0 = n0.mean(axis=0)
-    var_n1 = n1.var(axis=0, ddof=1) if reps > 1 else np.full(targets.size, np.nan)
-    var_n0 = n0.var(axis=0, ddof=1) if reps > 1 else np.full(targets.size, np.nan)
+    cells = np.stack(rows, axis=1)  # (2, reps, targets): n1, then n0
+    n1, n0 = cells
+    mean = cells.mean(axis=1)
+    var = cells.var(axis=1, ddof=1) if reps > 1 else np.full(mean.shape, np.nan)
+    var_over_mean = _ratio(var, mean)
     corr = np.empty(targets.size)
     for k in range(targets.size):
         s1 = float(np.std(n1[:, k]))
@@ -443,9 +443,9 @@ def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
         threshold=thresholds,
         n1=n1,
         n0=n0,
-        mean_n1=mean_n1,
-        mean_n0=mean_n0,
-        var_over_mean_n1=_ratio(var_n1, mean_n1),
-        var_over_mean_n0=_ratio(var_n0, mean_n0),
+        mean_n1=mean[0],
+        mean_n0=mean[1],
+        var_over_mean_n1=var_over_mean[0],
+        var_over_mean_n0=var_over_mean[1],
         corr=corr,
     )

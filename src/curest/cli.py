@@ -30,7 +30,7 @@ from .estimators import (
     trace,
 )
 from .model import (
-    Exponential, MixtureSpec, read_csv, simulate, sort_with_concomitants, write_csv, write_table,
+    Exponential, MixtureSpec, SortedSample, read_csv, simulate, write_csv, write_table,
 )
 
 _JSON_KEYS = (
@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    ss = sort_with_concomitants(read_csv(args.data))
+    ss = SortedSample(read_csv(args.data))
     tr = trace(ss)
     write_table(args.out, "index,y,p1,p2", (tr.index, tr.y, tr.p1, tr.p2))
     print(f"n={tr.n} rows={tr.index.size} final_p2={tr.p2[-1]:.6g}")
@@ -98,7 +98,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    ss = sort_with_concomitants(read_csv(args.data))
+    ss = SortedSample(read_csv(args.data))
     m2 = cv_m2_curve(ss, variance_stat=args.variance_stat)
     try:
         m1 = cv_m1_curve(ss, variance_stat=args.variance_stat)
@@ -157,7 +157,7 @@ def cmd_estimate(args) -> int:
             parser.error("--method theoretical-exp needs --p, --f-rate and --g-rate")
         spec = _mixture(args)
 
-    ss = sort_with_concomitants(read_csv(args.data))
+    ss = SortedSample(read_csv(args.data))
     guard = args.guard if args.guard is not None else (5 if args.method.startswith("cv-") else 1)
 
     if args.method.startswith("cv-"):

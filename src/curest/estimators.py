@@ -193,13 +193,12 @@ def choice_at_index(
     """CutoffChoice at a 1-based sorted-sample position, resolved to the
     threshold of the tie group containing it."""
     _check_count("index", index, 1)
-    entry = _entry_for_index(tr, index)
-    return CutoffChoice(
-        method=method,
-        index=int(tr.index[entry]),
-        threshold=float(tr.y[entry]),
-        guard=guard,
-    )
+    return _choice_at_entry(tr, _entry_for_index(tr, index), method, guard)
+
+
+def _choice_at_entry(tr: EstimatorTrace, entry: int, method: str, guard: int) -> CutoffChoice:
+    """The CutoffChoice at the tie group of trace entry ``entry``."""
+    return CutoffChoice(method, int(tr.index[entry]), float(tr.y[entry]), guard)
 
 
 def plug_ins(tr: EstimatorTrace) -> PlugIns:
@@ -303,12 +302,7 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
             "the objective cannot rank cut-offs on this sample"
         )
     best = candidates[curve.objective[candidates].argmin()]
-    return CutoffChoice(
-        method=f"cv-{curve.flavor}",
-        index=int(tr.index[best]),
-        threshold=float(tr.y[best]),
-        guard=guard,
-    )
+    return _choice_at_entry(tr, best, f"cv-{curve.flavor}", guard)
 
 
 def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):

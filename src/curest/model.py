@@ -129,8 +129,8 @@ class TabulatedQuantile(_Law):
         jm = j[mid]
         lo_v, hi_v = v[jm - 1], v[jm]
         lo_q, hi_q = q[jm - 1], q[jm]
-        span = hi_v - lo_v
-        frac = np.where(span > 0, (t[mid] - lo_v) / np.where(span > 0, span, 1.0), 0.0)
+        # There v[j - 1] <= t < v[j], so every span is positive.
+        frac = (t[mid] - lo_v) / (hi_v - lo_v)
         out[mid] = lo_q + frac * (hi_q - lo_q)
         return float(out[0]) if scalar else out
 
@@ -254,13 +254,11 @@ class SortedSample:
         opens = np.empty(n, dtype=bool)
         if _sort_records(sample.y, sample.delta, key, y, opens):
             delta = (key & 1).astype(np.int8)
-            starts = np.arange(n, dtype=np.intp)
         else:
-            delta = sample.delta[np.argsort(sample.y, kind="stable")]
-            starts = opens.nonzero()[0]
+            delta = sample.delta[sample.y.argsort(kind="stable")]
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "delta", _freeze(delta))
-        object.__setattr__(self, "group_start", _freeze(starts))
+        object.__setattr__(self, "group_start", _freeze(opens.nonzero()[0]))
 
     @property
     def n(self) -> int:

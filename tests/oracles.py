@@ -6,12 +6,14 @@ argmins, an exact dynamic program (plus a brute enumerator) for
 grid-constrained likelihood maxima, the literal max-min formula for the
 shape-constrained fit, the studentized tail statistics from their literal
 definitions on the sorted records, the guarded cut-off argmin by full-length masks, the
-closed-form frequency of the probe's saturation event, and the closed-form
-chances of the thinning check's two tail cells.
+closed-form frequency of the probe's saturation event, the closed-form
+chances of the thinning check's two tail cells, and a boundary-crossing
+dynamic program for the running maximum of a Bernoulli walk's means.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -152,6 +154,40 @@ def thinning_cell_probabilities(x: float, p: float, event_rate: float, inspect_r
     tail = math.exp(-b * x)
     q1 = (1.0 - p) * (tail - b / (a + b) * math.exp(-(a + b) * x))
     return q1, tail - q1
+
+
+def running_mean_max_cdf(points, n: int, m: int, q: float, strict: bool = False) -> np.ndarray:
+    """P(max over k = m..n of S_k / k <= c) for each rational c in
+    ``points``, where S_k counts the ones among k iid Bernoulli(q)
+    indicators; with ``strict``, P(max < c).  At n = m it is the
+    Binomial(m, q) CDF of m c.
+
+    This is the law of the running-maximum tail average p2 at a tail of m
+    records when the indicators are iid and independent of the untied
+    inspection times, read from the top: S_k is the number of ones among
+    the k largest times.  A forward dynamic program over k carries the law
+    of S_k on the paths that have stayed at or under the boundary so far
+    and zeroes the states above it (Noe 1972; Durbin 1973).  The boundary
+    S_k <= c k is the integer bound floor(a k / b) for c = a / b, and
+    S_k < c k is ceil(a k / b) - 1, so no state is kept or dropped by a
+    rounding.  The states of all points advance together."""
+    fracs = [Fraction(c) for c in points]
+    a = np.array([f.numerator for f in fracs], dtype=np.int64)[:, None]
+    b = np.array([f.denominator for f in fracs], dtype=np.int64)[:, None]
+    states = np.arange(n + 1)
+
+    def bound(k):
+        return (a * k - 1) // b if strict else (a * k) // b
+
+    law = np.zeros((len(fracs), n + 1))
+    law[:, : m + 1] = [math.comb(m, s) * q**s * (1.0 - q) ** (m - s) for s in range(m + 1)]
+    law[:, : m + 1] *= states[: m + 1] <= bound(m)
+    for k in range(m + 1, n + 1):
+        # Only states 0..k can be reached after k steps.
+        law[:, 1 : k + 1] = law[:, 1 : k + 1] * (1.0 - q) + law[:, :k] * q
+        law[:, 0] *= 1.0 - q
+        law[:, : k + 1] *= states[: k + 1] <= bound(k)
+    return law.sum(axis=1)
 
 
 def mse_profile_by_quadrature(x: float, n: int, p: float,

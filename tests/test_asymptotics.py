@@ -1,8 +1,12 @@
 """Studentized tail statistics, reference CDFs, replicated checks."""
 
 import concurrent.futures
+import itertools
 import math
+import statistics
+from collections import Counter
 from concurrent.futures import Future
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -27,7 +31,7 @@ from curest import (
 )
 from curest.asymptotics import CutoffRule
 
-from oracles import thinning_cell_probabilities
+from oracles import running_mean_max_cdf, thinning_cell_probabilities
 
 
 def sorted_toy(deltas, ys=None):
@@ -239,6 +243,12 @@ def test_mc_config_validation():
         McConfig(spec=mixed, n=10, reps=5, seed=0, cutoff=CutoffRule(kind="optimal"))
 
 
+def test_mc_config_refuses_an_unknown_studentization():
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    with pytest.raises(ValueError, match="studentization must be 'known-p' or 'plug-in'"):
+        McConfig(spec, 10, 5, 0, CutoffRule(kind="fixed-x", x=1.0), studentization="t")
+
+
 class _InlinePool:
     """A ``ProcessPoolExecutor`` stand-in running each span in this process,
     so a patched method is seen by every span."""
@@ -405,3 +415,123 @@ def test_thinning_worker_count_is_invisible():
     t1 = thinning_check(config, workers=1)
     t2 = thinning_check(config, workers=3)
     assert np.array_equal(t1.n1, t2.n1) and np.array_equal(t1.n0, t2.n0)
+
+
+def _same_or_both_nan(got, want):
+    if math.isnan(want):
+        return math.isnan(got)
+    return math.isclose(got, want, rel_tol=1e-12)
+
+
+_EXP = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+_ALL_EVENTS = MixtureSpec(p=0.0, event=TabulatedQuantile.point_mass(0.0), inspection=Exponential(1.0))
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "spec, n, targets, reps",
+    [
+        (_EXP, 300, (5.0, 40.0, 300.0), 1),
+        (_EXP, 300, (5.0, 40.0, 300.0), 2),
+        (_EXP, 300, (5.0, 40.0, 300.0), 300),
+        # Every indicator is 1: n0 is constant at 0, and at target n the
+        # whole sample is the tail, so n1 is constant at n.
+        (_ALL_EVENTS, 50, (5.0, 50.0), 40),
+    ],
+    ids=["one-rep", "two-reps", "300-reps", "all-events"],
+)
+def test_thinning_summaries_match_the_statistics_module(spec, n, targets, reps, workers):
+    # Per target: each count's mean and its variance over mean, and the
+    # correlation of the two counts, from the integer columns.  A variance
+    # needs two replications and a ratio a positive mean, and a correlation
+    # needs two replications and no constant column; each is NaN otherwise.
+    stats = thinning_check(ThinningConfig(spec, n, targets, reps, seed=4100), workers=workers)
+    for k in range(len(targets)):
+        n1, n0 = stats.n1[:, k].tolist(), stats.n0[:, k].tolist()
+        for col, mean, ratio in (
+            (n1, stats.mean_n1[k], stats.var_over_mean_n1[k]),
+            (n0, stats.mean_n0[k], stats.var_over_mean_n0[k]),
+        ):
+            want_mean = statistics.fmean(col)
+            usable = reps > 1 and want_mean > 0
+            want_ratio = statistics.variance(col) / want_mean if usable else math.nan
+            assert _same_or_both_nan(float(mean), want_mean)
+            assert _same_or_both_nan(float(ratio), want_ratio)
+        try:
+            want_corr = statistics.correlation(n1, n0)
+        except statistics.StatisticsError:  # fewer than two points, or a constant column
+            want_corr = math.nan
+        assert _same_or_both_nan(float(stats.corr[k]), want_corr)
+
+
+def test_running_mean_max_cdf_agrees_with_enumeration():
+    # Every sequence of 11 indicators, weighted by its chance: the largest
+    # mean of its first k entries over k = 3..11, at and just below every
+    # value it can take and outside them.
+    n, m, q = 11, 3, 0.7
+    law = Counter()
+    for bits in itertools.product((0, 1), repeat=n):
+        top = max(Fraction(sum(bits[:k]), k) for k in range(m, n + 1))
+        law[top] += q ** sum(bits) * (1.0 - q) ** (n - sum(bits))
+    points = sorted({Fraction(s, k) for k in range(m, n + 1) for s in range(k + 1)})
+    points += [Fraction(-1, 7), Fraction(9, 8)]
+    at = [sum(w for v, w in law.items() if v <= c) for c in points]
+    below = [sum(w for v, w in law.items() if v < c) for c in points]
+    assert running_mean_max_cdf(points, n, m, q) == pytest.approx(at, abs=1e-14)
+    assert running_mean_max_cdf(points, n, m, q, strict=True) == pytest.approx(below, abs=1e-14)
+    # With one tail only, the running maximum is the tail mean: a binomial.
+    binomial = np.cumsum([math.comb(8, s) * q**s * (1.0 - q) ** (8 - s) for s in range(9)])
+    atoms = [Fraction(s, 8) for s in range(9)]
+    assert running_mean_max_cdf(atoms, 8, 8, q) == pytest.approx(binomial, abs=1e-14)
+
+
+def _ks_discrete(values, cdf) -> float:
+    """Sup distance between the ECDF of the rationals ``values`` and a law
+    with ``cdf(atoms, strict)``, P(X <= c) or P(X < c) at each atom.  Both
+    are steps between the observed values, so the sup is at one of them or
+    just below it."""
+    tally = Counter(values)
+    atoms = sorted(tally)
+    at = np.cumsum([tally[a] for a in atoms]) / len(values)
+    below = np.concatenate(([0.0], at[:-1]))
+    return max(
+        float(np.abs(at - cdf(atoms, False)).max()),
+        float(np.abs(below - cdf(atoms, True)).max()),
+    )
+
+
+EXACT_REPS = 8000
+EXACT_KS_BOUND = 1.95 / math.sqrt(EXACT_REPS)  # 99.9 % point of the KS law
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_mc_draws_the_exact_finite_n_law_of_a_point_mass_event(workers):
+    # Every uncured subject has its event at time 0, so delta is iid
+    # Bernoulli(1 - p), independent of the untied inspection times.  With a
+    # tail of m = 25 of n = 400 records, read from the top, p1 is S_25 / 25
+    # with S_25 ~ Binomial(25, 1 - p), and p2 is the largest S_k / k over
+    # k = 25..n, whose law ``running_mean_max_cdf`` computes.  The seeds and
+    # the bound were fixed before any run.
+    n, m, p = 400, 25, 0.3
+    spec = MixtureSpec(p=p, event=TabulatedQuantile.point_mass(0.0), inspection=Exponential(1.0))
+    config = McConfig(spec, n, EXACT_REPS, 31_000 + 8_000 * workers, CutoffRule("fixed-tail", tail=m))
+    res = run_mc(config, workers=workers)
+    assert res.retained == EXACT_REPS and res.nonfinite == 0
+    assert np.all(res.z2 >= res.z1)
+    # Known-p scaling inverted: a mean of at most n indicators is the
+    # nearest fraction with a denominator of at most n, since two such
+    # fractions lie at least 1 / n^2 apart.
+    step = math.sqrt(p * (1.0 - p) / m)
+    p1 = [Fraction(1.0 - p + z * step).limit_denominator(n) for z in res.z1.tolist()]
+    p2 = [Fraction(1.0 - p + z * step).limit_denominator(n) for z in res.z2.tolist()]
+    assert all((v * m).denominator == 1 for v in p1)
+    pmf = [math.comb(m, s) * (1.0 - p) ** s * p ** (m - s) for s in range(m + 1)]
+
+    def binomial_cdf(atoms, strict):
+        return np.array([math.fsum(pmf[: int(a * m) + (not strict)]) for a in atoms])
+
+    def running_max_cdf(atoms, strict):
+        return running_mean_max_cdf(atoms, n, m, 1.0 - p, strict=strict)
+
+    gaps = _ks_discrete(p1, binomial_cdf), _ks_discrete(p2, running_max_cdf)
+    assert max(gaps) <= EXACT_KS_BOUND, f"KS gaps z1 {gaps[0]:.4f}, z2 {gaps[1]:.4f}"

@@ -309,6 +309,58 @@ def test_estimate_method_flag_requirements(tmp_path):
         assert res.stderr.splitlines()[-1].endswith(f"--method {method} takes no {stray}")
 
 
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("q", [0.5, 0.9, 5e-324, 1.0 - 2.0**-53])
+def test_fixed_quantile_is_fixed_index_at_the_quantile_position(tmp_path, tied, q):
+    # --method fixed-quantile cuts at position ceil(q n), clamped to 1..n:
+    # the least positive q gives position 1 and the largest q below 1 gives n.
+    data = tmp_path / "data.csv"
+    if tied:
+        rng = np.random.default_rng(3)
+        write_toy(data, zip(rng.integers(0, 2, 151), rng.integers(1, 13, 151) / 4))
+    else:
+        run_cli(
+            "simulate", "--p", "0.3", "--f-rate", "2", "--g-rate", "1",
+            "--n", "201", "--seed", "8", "--out", str(data),
+        )
+    n = read_csv(data).n
+    index = {5e-324: 1, 1.0 - 2.0**-53: n}.get(q, math.ceil(q * n))
+    summaries = []
+    for flags in (["fixed-quantile", "--quantile", repr(q)], ["fixed-index", "--index", str(index)]):
+        path = tmp_path / f"{flags[0]}.json"
+        res = run_cli(
+            "estimate", "--data", str(data), "--method", *flags, "--json-summary", str(path)
+        )
+        assert res.returncode == 0, res.stderr
+        summaries.append(path.read_bytes())
+    assert summaries[0] == summaries[1]
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+def test_estimate_alpha_outside_the_unit_interval_is_usage_error(tmp_path, alpha):
+    # The data path does not exist: exit 2, not 3, shows that --alpha is
+    # checked before the data are read.
+    res = run_cli(
+        "estimate", "--data", str(tmp_path / "absent.csv"), "--method", "cv-m2",
+        "--alpha", alpha,
+    )
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1].endswith("--alpha must lie strictly inside (0, 1)")
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "2.5"), ("--reps", "x")])
+def test_a_count_flag_that_is_not_an_integer_is_usage_error(tmp_path, flag, value):
+    flags = {
+        "--p": "0.3", "--f-rate": "2", "--g-rate": "1", "--n": "100", "--reps": "5",
+        "--out": str(tmp_path / "x.csv"),
+    }
+    flags[flag] = value
+    res = run_cli("mc", *[item for pair in flags.items() for item in pair])
+    assert res.returncode == 2
+    assert f"expected an integer, got {value!r}" in res.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_estimate_theoretical_warns_about_oracle_parameters(tmp_path):
     data = tmp_path / "sim.csv"
     run_cli(
