@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import replicate_seeds
-from .estimators import _suffix_means, theoretical_cutoff_exponential, trace
+from .estimators import theoretical_cutoff_exponential
 from .model import (
     Exponential,
     MixtureSpec,
@@ -91,21 +91,61 @@ def z_stats(
     the realized tail count.  ``studentization='known-p'`` divides by
     sqrt(p_true (1 - p_true)); ``'plug-in'`` replaces p_true by 1 - p2 in
     the denominator only, which can degenerate to zero and then yields a
-    non-finite statistic rather than an exception.  p1 and p2 are read off
-    the sample's ``trace``, so the first call on a sample builds and keeps
-    its whole trace, and later calls reuse it.
+    non-finite statistic rather than an exception.  p1 and p2 are the
+    same doubles as the sample's ``trace`` holds at the cut-off, computed
+    from the positions of the ones (see ``_tail_pair``) without building
+    the trace.
     """
     if studentization not in ("known-p", "plug-in"):
         raise ValueError(f"studentization must be 'known-p' or 'plug-in', got {studentization!r}")
     if not (0.0 < p_true < 1.0):
         raise ValueError(f"p_true must lie strictly inside (0, 1), got {p_true!r}")
     i = ss.tail_start(_checked_cutoff(x_n))
-    # Position i opens tie group g, entry g of the sample's trace, and the
-    # tail is the m = n - i records from there on.
-    g = int(ss.group_start.searchsorted(i))
-    tr, m = trace(ss), ss.n - i
-    z1, z2 = _z_pair(float(tr.p1[g]), float(tr.p2[g]), m, p_true, studentization)
-    return ZStatPair(z1=z1, z2=z2, tail_count=m)
+    n, starts = ss.n, ss.group_start
+    p1, p2 = _tail_pair(ss.delta.nonzero()[0], n, i, None if starts.size == n else starts)
+    z1, z2 = _z_pair(p1, p2, n - i, p_true, studentization)
+    return ZStatPair(z1=z1, z2=z2, tail_count=n - i)
+
+
+def _tail_pair(
+    ones: np.ndarray,
+    n: int,
+    i: int,
+    starts: np.ndarray | None,
+    ramp: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> tuple[float, float]:
+    """(p1, p2) at the tail that opens at position ``i``, a tie-group
+    opening, of ``n`` sorted records whose ones sit at the ascending
+    positions ``ones``; ``starts`` holds the tie-group openings, or is None
+    when the records are untied.  A caller that calls often passes the
+    doubles n, n - 1, ..., 1 as ``ramp`` and room for n doubles as ``out``;
+    without them, a call allocates two arrays as long as the ones below i.
+
+    Of the k ones, j lie below i, so p1 = (k - j) / (n - i).  p2 is the
+    largest tail mean at an opening up to i.  An opening whose group holds
+    no one has a mean no larger than the next opening's, which keeps its
+    ones in a smaller tail, so p2 is the larger of p1 and, over the ones
+    below i, the mean (k - r) / (n - g) at the opening g of the group of
+    the one of 0-based rank r.  The first one of a group gives that group's
+    mean and the later ones no more, so the order of records inside a tie
+    group does not matter.  Each term is a whole number over a whole
+    number, both exact in float64, so the max is the same double as
+    ``trace`` gives.
+    """
+    k = ones.size
+    j = int(ones.searchsorted(i))
+    p1 = (k - j) / (n - i)
+    if j == 0:
+        return p1, p1
+    below = ones[:j]
+    if starts is not None:
+        below = starts[starts.searchsorted(below, "right") - 1]
+    means = np.empty(j) if out is None else out[:j]
+    np.subtract(n, below, out=means)
+    counts = np.arange(k, k - j, -1.0) if ramp is None else ramp[n - k : n - k + j]
+    np.divide(counts, means, out=means)
+    return p1, max(p1, float(means.max()))
 
 
 def _checked_cutoff(x_n) -> float:
@@ -253,12 +293,13 @@ class _McSpan(_Draws):
     """The replications of one span of ``run_mc``, drawn in one workspace.
 
     The buffers are allocated once per span and reused by every
-    replication: the draw's ``(3, n)`` block of uniforms, whose rows are
-    spent in turn and then hold the sorted times (row 0), the suffix sums
-    (row 1) and the tail means (row 2); the packed keys; the indicators;
-    the draw's scratch, which then holds the tie-group marks; and the tail
-    counts 1..n.  That is 5.25 doubles per record, and a replication
-    allocates no array of the sample's length.  It takes the steps of
+    replication: the draw's ``(3, n)`` block of uniforms, whose rows then
+    hold the sorted times (row 0) and the tail means at the ones below the
+    cut-off (row 1); the packed keys; the indicators, which then hold the
+    keys' indicator bits; the draw's scratch, which then holds the
+    tie-group marks; and the counts n, n - 1, ..., 1.  That is 5.25 doubles
+    per record.  An untied replication allocates one array, the positions
+    of its ones (see ``_tail_pair``).  It takes the steps of
     ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
     on the same kernels, so its (z1, z2) are the same doubles.  It reads
     the threshold that ``McConfig`` resolved, and resolves one per
@@ -269,34 +310,25 @@ class _McSpan(_Draws):
         super().__init__(config.spec, config.n)
         self.config = config
         self.key = np.empty(config.n, dtype=np.uint64)
-        self.counts = np.arange(1.0, config.n + 1.0)
+        self.ramp = np.arange(float(config.n), 0.0, -1.0)
 
     def __call__(self, seed: int) -> tuple[float, float] | None:
-        config, u, opens = self.config, self.u, self.scratch
+        config, opens, bits = self.config, self.scratch, self.delta
         y = self.draw(seed)
-        ys = u[0]
-        untied = _sort_records(y, self.delta, self.key, ys, opens)
+        ys = self.u[0]
+        untied = _sort_records(y, bits, self.key, ys, opens)
         x = config._x_n
         if x is None:
             x = config.cutoff._threshold(config.spec, ys.size, ys)
         if x > ys[-1]:
             return None
         i = _tail_start(ys, _checked_cutoff(x))
-        # Read from the end, entry r of the means belongs to sorted position
-        # n - 1 - r, so the tail opens at entry lo and the thresholds up to
-        # it are entries lo on.  The keys order a tie group by indicator,
-        # not by input position, but a sum from a group's opening on counts
-        # the same ones either way, and i and p2's terms are openings.  Untied,
-        # every entry is one, and the unmasked max is four times as fast.
-        lo = ys.size - 1 - i
-        sums, means = u[1].view(np.uint64), u[2]
-        np.bitwise_and(self.key[::-1], 1, out=sums)
-        _suffix_means(sums, self.counts, means, lo)
-        opening = True if untied else opens[::-1][lo:]
-        p2 = means[lo:].max(where=opening, initial=-math.inf)
-        return _z_pair(
-            float(means[lo]), float(p2), ys.size - i, config.spec.p, config.studentization
-        )
+        # The keys order a tie group by indicator, not by input position,
+        # which _tail_pair does not read.
+        np.bitwise_and(self.key, 1, out=bits.view(np.uint8))
+        starts = None if untied else opens.nonzero()[0]
+        p1, p2 = _tail_pair(bits.nonzero()[0], ys.size, i, starts, self.ramp, self.u[1])
+        return _z_pair(p1, p2, ys.size - i, config.spec.p, config.studentization)
 
 
 def _moments(values: np.ndarray) -> tuple[float, float]:
@@ -432,9 +464,9 @@ def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
     var_over_mean = _ratio(var, mean)
     corr = np.empty(targets.size)
     for k in range(targets.size):
-        s1 = float(np.std(n1[:, k]))
-        s0 = float(np.std(n0[:, k]))
-        if reps > 1 and s1 > 0 and s0 > 0:
+        # A column's variance is 0 exactly when it is constant, and NaN
+        # with one replication; either leaves the correlation undefined.
+        if var[0, k] > 0 and var[1, k] > 0:
             corr[k] = float(np.corrcoef(n1[:, k], n0[:, k])[0, 1])
         else:
             corr[k] = math.nan

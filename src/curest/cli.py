@@ -169,7 +169,9 @@ def cmd_estimate(args) -> int:
         if args.method == "fixed-index":
             pos = args.index
         elif args.method == "fixed-quantile":
-            pos = min(tr.n, max(1, math.ceil(args.quantile * tr.n)))
+            # For 0 < q < 1 the product is positive and rounds to at most n,
+            # so the position lies in 1..n.
+            pos = math.ceil(args.quantile * tr.n)
         else:
             print(
                 "warning: theoretical-exp uses the oracle design parameters "

@@ -119,26 +119,15 @@ class CureEstimate:
     tail_count: int
 
 
-def _suffix_means(sums: np.ndarray, counts: np.ndarray, means: np.ndarray, lo: int = 0) -> None:
-    """Tail means of sorted indicators, read from the end.
-
-    ``sums`` holds the indicators last first, as integers or doubles, and
-    becomes their running sums, so entry r counts the ones among the last
-    r + 1 records; ``counts`` holds r + 1.  Entries ``lo`` on of ``means``
-    become their quotients: the mean of the indicators from sorted position
-    n - 1 - r to the end.  The sums are whole numbers, exact in float64, so each mean is
-    the same double as an integer sum over an integer count.  ``means`` may
-    be ``sums`` itself."""
-    sums.cumsum(out=sums)
-    np.divide(sums[lo:], counts[lo:], out=means[lo:])
-
-
 def _tail_means(ss: SortedSample, opens: np.ndarray) -> np.ndarray:
     """Mean of the indicators from each sorted position in ``opens`` to the
-    end (see ``_suffix_means``)."""
+    end: running sums of the indicators read from the end, over the counts
+    1..n.  The sums are whole numbers, exact in float64, so each mean is the
+    same double as an integer sum over an integer count."""
     n = ss.n
     means = ss.delta[::-1].astype(np.float64)
-    _suffix_means(means, np.arange(1.0, n + 1.0), means)
+    means.cumsum(out=means)
+    means /= np.arange(1.0, n + 1.0)
     return means[n - 1 - opens]
 
 

@@ -29,7 +29,7 @@ from curest import (
     thinning_check,
     z_stats,
 )
-from curest.asymptotics import CutoffRule
+from curest.asymptotics import CutoffRule, _tail_pair
 
 from oracles import running_mean_max_cdf, thinning_cell_probabilities
 
@@ -85,6 +85,28 @@ def test_z_stats_error_cases():
         z_stats(ss, 1.0, p_true=0.3, studentization="other")
     with pytest.raises(ValueError):
         z_stats(ss, -1.0, p_true=0.3)
+
+
+def tail_pair(deltas, i, starts=None):
+    ones = np.flatnonzero(deltas)
+    return _tail_pair(ones, len(deltas), i, None if starts is None else np.asarray(starts))
+
+
+def test_tail_pair_hand_cases():
+    assert tail_pair([0, 0, 0], 1) == (0.0, 0.0)
+    assert tail_pair([1, 1, 1], 1) == (1.0, 1.0)
+    # No one lies below the cut-off; the zero before it is no maximum.
+    assert tail_pair([0, 1, 0, 1], 1) == (2 / 3, 2 / 3)
+    assert tail_pair([1, 0, 1], 0) == (2 / 3, 2 / 3)
+    assert tail_pair([1], 0) == (1.0, 1.0)
+    assert tail_pair([0], 0) == (0.0, 0.0)
+    # p1 is larger than every mean below the cut-off.
+    assert tail_pair([1, 0, 0, 1, 1], 3) == (1.0, 1.0)
+    # The tie group at 1..3 holds zeros and ones and the maximum 2/5, in
+    # whatever order its records come; without the group lookup the ones
+    # would give 2/4 or 2/3.
+    for group in ([0, 1, 1], [1, 0, 1], [1, 1, 0]):
+        assert tail_pair([0, *group, 0, 0], 5, [0, 1, 4, 5]) == (0.0, 2 / 5)
 
 
 def test_reference_cdfs():

@@ -43,6 +43,7 @@ from curest import (
 )
 from curest import _parallel
 from curest._parallel import chunk_spans, replicate_seeds
+from curest.asymptotics import _tail_pair
 from curest.model import _Draws
 from curest.npmle import _ProbeSpan
 
@@ -355,7 +356,7 @@ def test_tail_start_opens_the_tail_of_its_threshold(sample, where, data):
     where=st.sampled_from(["below", "on", "between", "top"]),
     data=st.data(),
 )
-def test_z_stats_reads_the_trace_entry_of_its_cutoff(sample, where, data):
+def test_z_stats_equals_the_statistics_by_definition(sample, where, data):
     # "on" hits a threshold, often one shared by a tie run, at any position
     # of the run; "between" lies strictly between two distinct thresholds.
     y = sample.y
@@ -374,6 +375,30 @@ def test_z_stats_reads_the_trace_entry_of_its_cutoff(sample, where, data):
         want = z_stats_by_definition(sample, x, p_true, studentization)
         assert np.array([got.z1, got.z2]).tobytes() == np.array(want[:2]).tobytes()
         assert got.tail_count == want[2]
+
+
+@CASES
+@given(
+    sample=st.one_of(
+        samples.map(sorted_sample),
+        untied_samples.map(sorted_sample),
+        large_samples().map(sort_with_concomitants),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tail_pair_is_the_trace_entry_at_every_opening(sample, seed):
+    # The packed keys order a tie group by indicator, not by input
+    # position, so the kernel must not read the order inside a group.
+    rng = np.random.default_rng(seed)
+    tr, starts, n = trace(sample), sample.group_start, sample.n
+    groups = np.split(sample.delta, starts[1:])
+    ones = np.concatenate([rng.permutation(group) for group in groups]).nonzero()[0]
+    tied = None if starts.size == n else starts
+    ramp = np.arange(float(n), 0.0, -1.0)
+    for e, i in enumerate(starts.tolist()):
+        want = np.array([tr.p1[e], tr.p2[e]]).tobytes()
+        assert np.array(_tail_pair(ones, n, i, tied)).tobytes() == want
+        assert np.array(_tail_pair(ones, n, i, tied, ramp, np.empty(n))).tobytes() == want
 
 
 def visit_schedule():
@@ -433,7 +458,8 @@ def public_chain(config):
 
 # The examples reach the edges (see the next test): every replication
 # skipped, the optimal cut-off clamped to 0, a tail longer than the sample,
-# all-ones tails (a non-finite plug-in statistic) and tied samples.
+# all-ones tails (a non-finite plug-in statistic), tied samples, a cut-off
+# at the first record, so no one lies below it, and samples with no ones.
 @FEW_CASES
 @given(
     design=st.sampled_from(sorted(MC_DESIGNS)),
@@ -455,6 +481,10 @@ def public_chain(config):
          rule=CutoffRule("fixed-tail", tail=2), studentization="plug-in", workers=3)
 @example(design="tied visits", p=0.3, n=500, reps=9, seed=11,
          rule=CutoffRule("undersmoothed"), studentization="plug-in", workers=3)
+@example(design="tied visits", p=0.3, n=50, reps=4, seed=3,
+         rule=CutoffRule("fixed-x", x=0.0), studentization="plug-in", workers=1)
+@example(design="untied exponential", p=0.9, n=3, reps=4, seed=1,
+         rule=CutoffRule("fixed-tail", tail=2), studentization="plug-in", workers=1)
 def test_run_mc_equals_the_public_per_sample_chain(
     design, p, n, reps, seed, rule, studentization, workers
 ):
@@ -475,6 +505,8 @@ def test_the_chain_examples_reach_their_edge_cases():
     assert run_mc(degenerate).nonfinite > 0
     tied = SortedSample(simulate(MC_DESIGNS["tied visits"](0.3), 500, 11))
     assert tied.group_start.size < tied.n
+    ones = [simulate(untied(0.9), 3, 1 + k).delta.sum() for k in range(4)]
+    assert 0 in ones and max(ones) > 0
 
 
 def public_thinning(config, thresholds):
