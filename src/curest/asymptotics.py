@@ -24,9 +24,11 @@ from .model import (
     MixtureSpec,
     SortedSample,
     _check_count,
+    _check_type,
     _Draws,
-    _sort_records,
+    _sort_keys,
     _tail_start,
+    _unpack_keys,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -249,6 +251,8 @@ class McConfig:
     studentization: str = "known-p"
 
     def __post_init__(self) -> None:
+        _check_type("McConfig", self.spec, MixtureSpec)
+        _check_type("McConfig", self.cutoff, CutoffRule)
         _check_count("n", self.n, 1)
         _check_count("reps", self.reps, 1)
         _check_count("seed", self.seed, 0)
@@ -293,41 +297,45 @@ class _McSpan(_Draws):
     """The replications of one span of ``run_mc``, drawn in one workspace.
 
     The buffers are allocated once per span and reused by every
-    replication: the draw's ``(3, n)`` block of uniforms, whose rows then
-    hold the sorted times (row 0) and the tail means at the ones below the
-    cut-off (row 1); the packed keys; the indicators, which then hold the
-    keys' indicator bits; the draw's scratch, which then holds the
-    tie-group marks; and the counts n, n - 1, ..., 1.  That is 5.25 doubles
-    per record.  An untied replication allocates one array, the positions
-    of its ones (see ``_tail_pair``).  It takes the steps of
-    ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
-    on the same kernels, so its (z1, z2) are the same doubles.  It reads
-    the threshold that ``McConfig`` resolved, and resolves one per
-    replication only for ``fixed-tail``, the one kind that reads the sample.
+    replication: the draw's ``(2, n)`` block, the indicators, the draw's
+    scratch and the counts n, n - 1, ..., 1; that is 3.25 doubles per
+    record.  Once the indicators are drawn, row 0's event times are free,
+    and the records' packed keys are sorted there.  The keys' indicator
+    bits go to the indicators' own bytes, and the sorted times are then
+    unpacked over the keys, so row 0 holds the sorted times; row 1's
+    unsorted times are free by then and take the tail means at the ones
+    below the cut-off, and the scratch takes the tie-group marks.  An
+    untied replication allocates one array, the positions of its ones (see
+    ``_tail_pair``).  It takes the steps of ``simulate``, ``SortedSample``,
+    ``CutoffRule.resolve`` and ``z_stats`` on the same kernels, so its
+    (z1, z2) are the same doubles.  It reads the threshold that
+    ``McConfig`` resolved, and resolves one per replication only for
+    ``fixed-tail``, the one kind that reads the sample.
     """
 
     def __init__(self, config: McConfig) -> None:
         super().__init__(config.spec, config.n)
         self.config = config
-        self.key = np.empty(config.n, dtype=np.uint64)
         self.ramp = np.arange(float(config.n), 0.0, -1.0)
 
     def __call__(self, seed: int) -> tuple[float, float] | None:
         config, opens, bits = self.config, self.scratch, self.delta
         y = self.draw(seed)
-        ys = self.u[0]
-        untied = _sort_records(y, bits, self.key, ys, opens)
+        ys, means = self.u
+        key = ys.view(np.uint64)
+        _sort_keys(y, bits, key)
+        # The keys order a tie group by indicator, not by input position,
+        # which _tail_pair does not read.
+        np.bitwise_and(key, 1, out=bits.view(np.uint8))
+        untied = _unpack_keys(key, ys, opens)
         x = config._x_n
         if x is None:
             x = config.cutoff._threshold(config.spec, ys.size, ys)
         if x > ys[-1]:
             return None
         i = _tail_start(ys, _checked_cutoff(x))
-        # The keys order a tie group by indicator, not by input position,
-        # which _tail_pair does not read.
-        np.bitwise_and(self.key, 1, out=bits.view(np.uint8))
         starts = None if untied else opens.nonzero()[0]
-        p1, p2 = _tail_pair(bits.nonzero()[0], ys.size, i, starts, self.ramp, self.u[1])
+        p1, p2 = _tail_pair(bits.nonzero()[0], ys.size, i, starts, self.ramp, means)
         return _z_pair(p1, p2, ys.size - i, config.spec.p, config.studentization)
 
 
@@ -385,6 +393,7 @@ class ThinningConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        _check_type("ThinningConfig", self.spec, MixtureSpec)
         _check_count("n", self.n, 1)
         _check_count("reps", self.reps, 1)
         _check_count("seed", self.seed, 0)

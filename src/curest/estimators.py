@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .model import SortedSample, _check_count, _freeze
+from .model import SortedSample, _check_count, _check_type, _freeze
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ class EstimatorTrace:
     p2: np.ndarray = field(init=False)
 
     def __post_init__(self, sample: SortedSample) -> None:
-        if not isinstance(sample, SortedSample):
-            raise TypeError(f"EstimatorTrace needs a SortedSample, got {type(sample).__name__}")
+        _check_type("EstimatorTrace", sample, SortedSample)
         starts = sample.group_start
         p1 = _tail_means(sample, starts)
         object.__setattr__(self, "n", sample.n)

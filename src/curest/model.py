@@ -158,13 +158,21 @@ class MixtureSpec:
 
 def _check_count(name: str, value, low: int) -> None:
     """Refuse ``value`` unless it is an integer of at least ``low``; a float
-    never passes, not even a whole one, so 2.5 is not read as 2."""
+    never passes, not even a whole one, so 2.5 is not read as 2, and neither
+    does a bool, so True is not read as 1."""
     try:
-        ok = operator.index(value) >= low
+        ok = not isinstance(value, bool) and operator.index(value) >= low
     except TypeError:
         ok = False
     if not ok:
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _check_type(owner: str, value, cls: type) -> None:
+    """Refuse ``value`` with a ``TypeError`` naming its type unless it is a
+    ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{owner} needs a {cls.__name__}, got {type(value).__name__}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -244,15 +252,13 @@ class SortedSample:
     group_start: np.ndarray = field(init=False)
 
     def __post_init__(self, sample: CurrentStatusSample) -> None:
-        if not isinstance(sample, CurrentStatusSample):
-            raise TypeError(
-                f"SortedSample needs a CurrentStatusSample, got {type(sample).__name__}"
-            )
+        _check_type("SortedSample", sample, CurrentStatusSample)
         n = sample.n
         key = np.empty(n, dtype=np.uint64)
         y = np.empty(n)
         opens = np.empty(n, dtype=bool)
-        if _sort_records(sample.y, sample.delta, key, y, opens):
+        _sort_keys(sample.y, sample.delta, key)
+        if _unpack_keys(key, y, opens):
             delta = (key & 1).astype(np.int8)
         else:
             delta = sample.delta[sample.y.argsort(kind="stable")]
@@ -279,15 +285,20 @@ def _tail_start(y: np.ndarray, x: float) -> int:
     return int(np.searchsorted(y, x, side="left"))
 
 
-def _sort_records(y, delta, key, y_sorted, opens) -> bool:
-    """Sort the checked records ``(y, delta)`` by their packed keys (see
-    ``SortedSample``) into ``key``, write the sorted times to ``y_sorted``
-    and mark in ``opens`` the first record of each tie group; return whether
-    the times are untied.  Every output is a preallocated array of the
-    records' length."""
+def _sort_keys(y, delta, key) -> None:
+    """Pack the checked records ``(y, delta)`` into 64-bit keys (see
+    ``SortedSample``) in the preallocated array ``key`` and sort them there.
+    ``key`` may share its bytes with neither ``y`` nor ``delta``."""
     np.left_shift(y.view(np.uint64), 1, out=key)
     np.bitwise_or(key, delta.view(np.uint8), out=key)
     key.sort()
+
+
+def _unpack_keys(key, y_sorted, opens) -> bool:
+    """Write the times of the sorted keys ``key`` to ``y_sorted`` and mark in
+    ``opens`` the first record of each tie group; return whether the times
+    are untied.  ``y_sorted`` may be ``key``'s own bytes viewed as doubles,
+    so a caller that needs the indicator bits takes them first."""
     np.right_shift(key, 1, out=y_sorted.view(np.uint64))
     opens[0] = True
     np.not_equal(y_sorted[1:], y_sorted[:-1], out=opens[1:])
@@ -295,34 +306,40 @@ def _sort_records(y, delta, key, y_sorted, opens) -> bool:
 
 
 def _draw_into(
-    spec: MixtureSpec, seed: int, u: np.ndarray, delta: np.ndarray, scratch: np.ndarray
+    spec: MixtureSpec, seed: int, u: np.ndarray, delta: np.ndarray, uncured: np.ndarray
 ) -> np.ndarray:
     """Draw the records of ``seed`` in place, the one place that turns a
-    seed into records (see ``simulate`` for the stream layout): the uniforms
-    fill the ``(3, n)`` block ``u``, whose row 1 becomes the event times and
-    row 2 the inspection times, which are returned; the indicators go to the
-    boolean array ``delta``, with the boolean array ``scratch`` as scratch."""
-    np.random.default_rng(seed).random(out=u)
-    u_cure, event_time, y = u
+    seed into records (see ``simulate`` for the stream layout).  The cure
+    uniforms are drawn into row 0 of the ``(2, n)`` block ``u`` and compared
+    with ``p`` into the boolean array ``uncured``; the rest of the stream
+    then fills the block, whose row 0 becomes the event times and row 1 the
+    inspection times, which are returned.  The indicators go to the boolean
+    array ``delta``."""
+    rng = np.random.default_rng(seed)
+    event_time, y = u
+    rng.random(out=event_time)
+    # A cured subject (cure uniform below p) never has the event.
+    np.greater_equal(event_time, spec.p, out=uncured)
+    rng.random(out=u)
     spec.event._quantile_into(event_time)
     spec.inspection._quantile_into(y)
-    # A cured subject (u_cure < p) never has the event.
-    np.greater_equal(u_cure, spec.p, out=scratch)
     np.less_equal(event_time, y, out=delta)
-    np.logical_and(delta, scratch, out=delta)
+    np.logical_and(delta, uncured, out=delta)
     return y
 
 
 class _Draws:
     """A workspace for draws of ``n`` records, reused from draw to draw: the
-    block of uniforms ``u``, the indicators ``delta`` and one boolean
-    ``scratch`` array, which is free again once a draw returns.  ``draw``
-    returns the checked inspection times of a seed, as ``simulate`` draws
-    them."""
+    ``(2, n)`` block ``u`` of uniforms, which become the event times (row 0)
+    and the inspection times (row 1), the indicators ``delta`` and one
+    boolean ``scratch`` array, which holds the cure marks during a draw and
+    is free again once it returns; 16 bytes and two booleans per record.
+    ``draw`` returns the checked inspection times of a seed, as ``simulate``
+    draws them; the event times in row 0 are free from then on."""
 
     def __init__(self, spec: MixtureSpec, n: int) -> None:
         self.spec = spec
-        self.u = np.empty((3, n))
+        self.u = np.empty((2, n))
         self.delta = np.empty(n, dtype=bool)
         self.scratch = np.empty(n, dtype=bool)
 
@@ -339,12 +356,13 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     (cure mark, event time, inspection time), so the stream layout is
     documented and a seed reproduces the sample exactly.  The event-time
     uniform is consumed even for cured subjects to keep the layout fixed.
-    The blocks are drawn as the rows of one ``(3, n)`` array, which is the
-    same stream.
+    The cure marks are drawn first into one row, and the two later blocks
+    then as the rows of one ``(2, n)`` array over it, which is the same
+    stream.
     """
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
-    u = np.empty((3, n))
+    u = np.empty((2, n))
     delta, uncured = np.empty((2, n), dtype=bool)
     y = _draw_into(spec, seed, u, delta, uncured)
     return CurrentStatusSample(delta=delta, y=y)

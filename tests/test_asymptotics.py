@@ -15,6 +15,7 @@ from scipy.integrate import quad
 
 from curest import (
     CurrentStatusSample,
+    CutoffChoice,
     Exponential,
     McConfig,
     MixtureSpec,
@@ -26,10 +27,16 @@ from curest import (
     sort_with_concomitants,
     std_normal_cdf,
     ThinningConfig,
+    choice_at_index,
+    cv_m2_curve,
+    inconsistency_probe,
+    select_cutoff,
     thinning_check,
+    trace,
     z_stats,
 )
-from curest.asymptotics import CutoffRule, _tail_pair
+from curest.asymptotics import CutoffRule, _McSpan, _tail_pair
+from curest.model import _Draws
 
 from oracles import running_mean_max_cdf, thinning_cell_probabilities
 
@@ -359,6 +366,77 @@ def test_integer_parameters_refuse_other_values(build, name, value):
     # count or seed below its least value is refused too.
     with pytest.raises(ValueError, match=rf"\b{name} must be an integer of at least"):
         build(**{name: value})
+
+
+_SPEC = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+
+
+def _sorted_draw():
+    return sort_with_concomitants(simulate(_SPEC, 50, 0))
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: simulate(_SPEC, True, 0), "n"),
+        (lambda: simulate(_SPEC, 10, True), "seed"),
+        (lambda: _mc_config(n=True), "n"),
+        (lambda: _mc_config(reps=True), "reps"),
+        (lambda: _mc_config(seed=False), "seed"),
+        (lambda: _thinning_config(reps=True), "reps"),
+        (lambda: _thinning_config(seed=False), "seed"),
+        (lambda: CutoffRule("fixed-tail", tail=True), "tail"),
+        (lambda: CutoffChoice("x", True, 1.0), "index"),
+        (lambda: CutoffChoice("x", 1, 1.0, True), "guard"),
+        (lambda: select_cutoff(cv_m2_curve(_sorted_draw()), guard=True), "guard"),
+        (lambda: choice_at_index(trace(_sorted_draw()), True), "index"),
+        (lambda: inconsistency_probe(_SPEC, True, 3, 0), "n"),
+        (lambda: inconsistency_probe(_SPEC, 10, 3, False), "seed"),
+        (lambda: run_mc(_mc_config(), workers=True), "workers"),
+    ],
+)
+def test_a_bool_is_not_a_count(call, name):
+    # bool is a subclass of int, so True would otherwise be read as 1.
+    with pytest.raises(ValueError, match=rf"\b{name} must be an integer of at least \d+, got (True|False)$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "build, field, value",
+    [
+        (_mc_config, "spec", None),
+        (_mc_config, "spec", (0.3,)),
+        (_mc_config, "cutoff", "optimal"),
+        (_thinning_config, "spec", (0.3,)),
+    ],
+)
+def test_configs_refuse_a_spec_or_cutoff_of_another_type(build, field, value):
+    wanted = "MixtureSpec" if field == "spec" else "CutoffRule"
+    shown = type(value).__name__
+    with pytest.raises(TypeError, match=rf"Config needs a {wanted}, got {shown}$"):
+        build(**{field: value})
+
+
+def _array_bytes(workspace) -> int:
+    """Bytes of the workspace's array attributes, each buffer counted once
+    however many of them view it."""
+    roots = {}
+    for value in vars(workspace).values():
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            roots[id(value)] = value.nbytes
+    return sum(roots.values())
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000])
+def test_replication_workspaces_hold_what_their_docstrings_say(n):
+    # Two rows of doubles and two boolean rows per draw; run_mc adds the
+    # counts n, n - 1, ..., 1 and sorts its keys in the draw's rows.
+    assert _array_bytes(_Draws(_SPEC, n)) == 16 * n + 2 * n
+    mc = _McSpan(_mc_config(n=n, cutoff=CutoffRule("fixed-tail", tail=1)))
+    assert _array_bytes(mc) <= 26 * n
+    assert not hasattr(mc, "key")
 
 
 def test_ks_against_normal_improves_with_sample_size():
