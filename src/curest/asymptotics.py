@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from . import _band
 from ._parallel import replicate_seeds
 from .estimators import theoretical_cutoff_exponential
 from .model import (
@@ -24,6 +25,7 @@ from .model import (
     MixtureSpec,
     SortedSample,
     _check_count,
+    _check_real,
     _check_type,
     _Draws,
     _sort_keys,
@@ -102,6 +104,7 @@ def z_stats(
         raise ValueError(f"studentization must be 'known-p' or 'plug-in', got {studentization!r}")
     if not (0.0 < p_true < 1.0):
         raise ValueError(f"p_true must lie strictly inside (0, 1), got {p_true!r}")
+    _check_real("cut-off", x_n)
     i = ss.tail_start(_checked_cutoff(x_n))
     n, starts = ss.n, ss.group_start
     p1, p2 = _tail_pair(ss.delta.nonzero()[0], n, i, None if starts.size == n else starts)
@@ -116,6 +119,7 @@ def _tail_pair(
     starts: np.ndarray | None,
     ramp: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    beyond: int = 0,
 ) -> tuple[float, float]:
     """(p1, p2) at the tail that opens at position ``i``, a tie-group
     opening, of ``n`` sorted records whose ones sit at the ascending
@@ -123,6 +127,8 @@ def _tail_pair(
     when the records are untied.  A caller that calls often passes the
     doubles n, n - 1, ..., 1 as ``ramp`` and room for n doubles as ``out``;
     without them, a call allocates two arrays as long as the ones below i.
+    A caller that holds only the bottom of the records passes the count of
+    ones above them as ``beyond``; those lie past i.
 
     Of the k ones, j lie below i, so p1 = (k - j) / (n - i).  p2 is the
     largest tail mean at an opening up to i.  An opening whose group holds
@@ -135,7 +141,7 @@ def _tail_pair(
     number, both exact in float64, so the max is the same double as
     ``trace`` gives.
     """
-    k = ones.size
+    k = ones.size + beyond
     j = int(ones.searchsorted(i))
     p1 = (k - j) / (n - i)
     if j == 0:
@@ -207,6 +213,7 @@ class CutoffRule:
             if name != uses and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} rule takes no {name}")
         if self.kind == "fixed-x":
+            _check_real("fixed-x rule's x", self.x)
             if self.x is None or not math.isfinite(self.x) or self.x < 0:
                 raise ValueError("fixed-x rule needs a finite nonnegative x")
         if self.kind == "fixed-tail":
@@ -305,38 +312,58 @@ class _McSpan(_Draws):
     unpacked over the keys, so row 0 holds the sorted times; row 1's
     unsorted times are free by then and take the tail means at the ones
     below the cut-off, and the scratch takes the tie-group marks.  An
-    untied replication allocates one array, the positions of its ones (see
-    ``_tail_pair``).  It takes the steps of ``simulate``, ``SortedSample``,
-    ``CutoffRule.resolve`` and ``z_stats`` on the same kernels, so its
-    (z1, z2) are the same doubles.  It reads the threshold that
+    untied replication allocates the positions of its ones (see
+    ``_tail_pair``), and on the band path a few arrays as long as the band
+    or the count of buckets.  It takes the steps of ``simulate``,
+    ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats`` on the same
+    kernels, so its (z1, z2) are the same doubles.  It reads the threshold that
     ``McConfig`` resolved, and resolves one per replication only for
     ``fixed-tail``, the one kind that reads the sample.
+
+    At large n it sorts only the band of the records that can set p2
+    (``_band.gather``, whose docstring holds the proof): the buckets' ids
+    go to row 0, the band's times are then gathered there and its
+    indicators into the scratch, and its keys are packed and sorted in
+    place, so the workspace does not grow.  The records above the band are
+    only counted, and p2 is the larger of the band's p2 and the floor that
+    the count proves.
     """
 
     def __init__(self, config: McConfig) -> None:
         super().__init__(config.spec, config.n)
         self.config = config
         self.ramp = np.arange(float(config.n), 0.0, -1.0)
+        self.buckets = _band.buckets(config.spec.inspection, config.n, config._x_n)
 
     def __call__(self, seed: int) -> tuple[float, float] | None:
         config, opens, bits = self.config, self.scratch, self.delta
         y = self.draw(seed)
+        x = config._x_n
         ys, means = self.u
+        marks, ramp, n, beyond, floor = bits, self.ramp, config.n, 0, 0.0
+        if self.buckets is not None:
+            band = _band.gather(y, bits, ys, opens, x, config.cutoff.tail, *self.buckets)
+            if band is None:
+                return None
+            # The band's times and indicators start row 0 and the scratch.
+            size, n, beyond, floor = band
+            y = ys = ys[:size]
+            bits, marks = bits[:size], opens[:size]
+            opens, ramp = marks, ramp[ramp.size - n :]
         key = ys.view(np.uint64)
-        _sort_keys(y, bits, key)
+        _sort_keys(y, marks, key)
         # The keys order a tie group by indicator, not by input position,
         # which _tail_pair does not read.
         np.bitwise_and(key, 1, out=bits.view(np.uint8))
         untied = _unpack_keys(key, ys, opens)
-        x = config._x_n
         if x is None:
-            x = config.cutoff._threshold(config.spec, ys.size, ys)
-        if x > ys[-1]:
+            x = config.cutoff._threshold(config.spec, n, ys)
+        if x > ys[-1] and n == ys.size:
             return None
         i = _tail_start(ys, _checked_cutoff(x))
         starts = None if untied else opens.nonzero()[0]
-        p1, p2 = _tail_pair(bits.nonzero()[0], ys.size, i, starts, self.ramp, means)
-        return _z_pair(p1, p2, ys.size - i, config.spec.p, config.studentization)
+        p1, p2 = _tail_pair(bits.nonzero()[0], n, i, starts, ramp, means, beyond)
+        return _z_pair(p1, max(p2, floor), n - i, config.spec.p, config.studentization)
 
 
 def _moments(values: np.ndarray) -> tuple[float, float]:

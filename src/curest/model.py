@@ -34,7 +34,12 @@ class _Law:
     +inf (``log1p(-1)`` divides by zero), so the floating-point state that
     lets that pass quietly is set here, once per call.  The samplers draw
     their uniforms with ``Generator.random``, which never returns 1, so
-    ``_quantile_into`` itself sets no state and pays nothing for it."""
+    ``_quantile_into`` itself sets no state and pays nothing for it.
+
+    ``_atoms`` tells whether the law puts mass on single points, so that its
+    samples tie."""
+
+    _atoms = False
 
     def quantile(self, u):
         u = np.array(u, dtype=float)  # a copy: the argument is left as it was
@@ -54,6 +59,7 @@ class Exponential(_Law):
     rate: float
 
     def __post_init__(self) -> None:
+        _check_real("rate", self.rate)
         if not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
 
@@ -101,6 +107,7 @@ class TabulatedQuantile(_Law):
             raise ValueError("values must be finite")
         if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError("values must be nondecreasing")
+        object.__setattr__(self, "_atoms", any(a == b for a, b in zip(values, values[1:])))
         # The tables as arrays, built once for quantile and cdf.
         object.__setattr__(self, "_probs", _freeze(np.array(probs)))
         object.__setattr__(self, "_values", _freeze(np.array(values)))
@@ -152,6 +159,7 @@ class MixtureSpec:
     inspection: DistSpec
 
     def __post_init__(self) -> None:
+        _check_real("cure fraction p", self.p)
         if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
             raise ValueError(f"cure fraction p must lie in [0, 1], got {self.p!r}")
 
@@ -166,6 +174,13 @@ def _check_count(name: str, value, low: int) -> None:
         ok = False
     if not ok:
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+
+
+def _check_real(name: str, value) -> None:
+    """Refuse a bool where a real number is read, so True is not read as
+    1.0; the caller checks the number's range."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def _check_type(owner: str, value, cls: type) -> None:
@@ -288,7 +303,7 @@ def _tail_start(y: np.ndarray, x: float) -> int:
 def _sort_keys(y, delta, key) -> None:
     """Pack the checked records ``(y, delta)`` into 64-bit keys (see
     ``SortedSample``) in the preallocated array ``key`` and sort them there.
-    ``key`` may share its bytes with neither ``y`` nor ``delta``."""
+    ``key`` may be ``y``'s own bytes, but may share none with ``delta``."""
     np.left_shift(y.view(np.uint64), 1, out=key)
     np.bitwise_or(key, delta.view(np.uint8), out=key)
     key.sort()
@@ -360,6 +375,7 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     then as the rows of one ``(2, n)`` array over it, which is the same
     stream.
     """
+    _check_type("simulate", spec, MixtureSpec)
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
     u = np.empty((2, n))

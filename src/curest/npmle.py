@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import replicate_seeds
-from .model import MixtureSpec, _check_count, _Draws, _indicators
+from .model import MixtureSpec, _check_count, _check_type, _Draws, _indicators
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,7 @@ def inconsistency_probe(
     useless.  Replication k uses seed ``seed + k``; each span of
     replications reuses one workspace (see ``replicate_seeds``).
     """
+    _check_type("inconsistency_probe", spec, MixtureSpec)
     _check_count("n", n, 1)
     _check_count("seed", seed, 0)
     return sum(replicate_seeds(partial(_ProbeSpan, spec, n), reps, seed, workers)) / reps

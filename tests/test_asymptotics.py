@@ -417,6 +417,33 @@ def test_configs_refuse_a_spec_or_cutoff_of_another_type(build, field, value):
         build(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "call, owner, shown",
+    [
+        (lambda: simulate((0.3,), 10, 0), "simulate", "tuple"),
+        (lambda: inconsistency_probe(None, 10, 3, 0), "inconsistency_probe", "NoneType"),
+    ],
+)
+def test_simulate_and_the_probe_refuse_a_spec_of_another_type(call, owner, shown):
+    with pytest.raises(TypeError, match=rf"^{owner} needs a MixtureSpec, got {shown}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: CutoffRule("fixed-x", x=True), "fixed-x rule's x"),
+        (lambda: MixtureSpec(True, Exponential(2.0), Exponential(1.0)), "cure fraction p"),
+        (lambda: Exponential(True), "rate"),
+        (lambda: z_stats(_sorted_draw(), True, 0.3), "cut-off"),
+    ],
+)
+def test_a_bool_is_not_a_real_number(call, name):
+    # bool is a subclass of int, so True would otherwise be read as 1.0.
+    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got True$"):
+        call()
+
+
 def _array_bytes(workspace) -> int:
     """Bytes of the workspace's array attributes, each buffer counted once
     however many of them view it."""

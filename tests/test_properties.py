@@ -41,9 +41,9 @@ from curest import (
     write_csv,
     z_stats,
 )
-from curest import _parallel
+from curest import _band, _parallel
 from curest._parallel import chunk_spans, replicate_seeds
-from curest.asymptotics import _tail_pair
+from curest.asymptotics import _McSpan, _tail_pair
 from curest.model import _Draws
 from curest.npmle import _ProbeSpan
 
@@ -507,6 +507,143 @@ def test_the_chain_examples_reach_their_edge_cases():
     assert tied.group_start.size < tied.n
     ones = [simulate(untied(0.9), 3, 1 + k).delta.sum() for k in range(4)]
     assert 0 in ones and max(ones) > 0
+
+
+@st.composite
+def band_samples(draw):
+    """Samples for the band path: untied and tied times (``large_samples``
+    and ``samples``), with their indicators as drawn, all 0, all 1, or 1
+    exactly on the records at or above some time."""
+    sample = draw(st.one_of(large_samples(), samples.map(lambda r: CurrentStatusSample(*zip(*r)))))
+    delta, y, n = sample.delta, sample.y, sample.n
+    pattern = draw(st.sampled_from(["drawn", "zeros", "ones", "top"]))
+    if pattern == "zeros":
+        delta = np.zeros(n, dtype=np.int8)
+    elif pattern == "ones":
+        delta = np.ones(n, dtype=np.int8)
+    elif pattern == "top":
+        delta = (y >= np.sort(y)[n - draw(st.integers(1, n))]).astype(np.int8)
+    return CurrentStatusSample(delta=delta, y=y)
+
+
+def band_rules(n):
+    # A cut-off at 0, between or at the records, or above all of them, and
+    # tails of 1, of n and longer than the sample.
+    return st.one_of(
+        st.sampled_from([0.0, 0.3, 1.0, 2.5, 1e6]).map(lambda x: CutoffRule("fixed-x", x=x)),
+        st.just(CutoffRule("optimal")),
+        st.just(CutoffRule("undersmoothed")),
+        st.sampled_from([1, n, n + 5]).map(lambda tail: CutoffRule("fixed-tail", tail=tail)),
+        st.integers(1, n).map(lambda tail: CutoffRule("fixed-tail", tail=tail)),
+    )
+
+
+def band_kernel(sample, config, origin, shift):
+    """``_McSpan``'s (z1, z2) for the records of ``sample``, on the band
+    path with the buckets ``(origin, shift)`` whatever the gate says."""
+    span = _McSpan(config)
+    span.buckets = (origin, shift)
+
+    def draw(seed):
+        span.u[1] = sample.y
+        span.delta[:] = sample.delta
+        return span.u[1]
+
+    span.draw = draw
+    return span(0)
+
+
+def public_pair(sample, config):
+    """(z1, z2) of ``sample`` from ``SortedSample`` and ``z_stats``, or None
+    when the cut-off lies above every record."""
+    ss = SortedSample(sample)
+    x = config.cutoff.resolve(config.spec, ss)
+    if x > ss.y[-1]:
+        return None
+    zz = z_stats(ss, x, config.spec.p, config.studentization)
+    return zz.z1, zz.z2
+
+
+@FEW_CASES
+@given(
+    sample=band_samples(),
+    data=st.data(),
+    p=st.sampled_from([0.05, 0.3, 0.9]),
+    studentization=st.sampled_from(["known-p", "plug-in"]),
+    origin=st.sampled_from([2.0**-3, 1.0, 2.0**4]),
+    shift=st.integers(48, 53),
+)
+def test_the_band_kernel_equals_the_public_chain(sample, data, p, studentization, origin, shift):
+    # The buckets are set past the gate, so small samples take the band
+    # path, with buckets from coarse to fine.
+    rule = data.draw(band_rules(sample.n))
+    spec = MixtureSpec(p, Exponential(2.0), Exponential(1.0))
+    config = McConfig(spec, sample.n, 1, 0, rule, studentization)
+    got, want = band_kernel(sample, config, origin, shift), public_pair(sample, config)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_the_band_kernel_sorts_from_the_lowest_bucket_whose_bound_exceeds_the_floor():
+    # With one bucket per binade of y + 1, the buckets are [0, 1), [1, 3)
+    # and [3, 7).  The bucket starts' means are 1/5, 1/4 and 0, but p2 is
+    # 1/3, at the record at 2.0 inside the middle bucket, whose bound
+    # 1 / (2 + 1) exceeds the floor 1/4: the band must start there.
+    sample = CurrentStatusSample(delta=[0, 0, 1, 0, 0], y=[0.5, 1.0, 2.0, 4.0, 5.0])
+    spec = MixtureSpec(0.3, Exponential(2.0), Exponential(1.0))
+    config = McConfig(spec, 5, 1, 0, CutoffRule("fixed-x", x=3.0))
+    assert trace(SortedSample(sample)).p2[3] == 1 / 3  # at the cut-off's record
+    assert band_kernel(sample, config, 1.0, 52) == public_pair(sample, config)
+
+
+@FEW_CASES
+@given(
+    design=st.sampled_from(["untied exponential", "point-mass event"]),
+    p=st.sampled_from([0.05, 0.3, 0.9]),
+    n=st.integers(1, 2000),
+    seed=st.integers(0, 2**32),
+    rule=mc_rules,
+    studentization=st.sampled_from(["known-p", "plug-in"]),
+)
+def test_the_band_path_equals_the_public_chain_on_drawn_samples(
+    design, p, n, seed, rule, studentization
+):
+    assume(rule.kind != "optimal" or design == "untied exponential")
+    config = McConfig(MC_DESIGNS[design](p), n, 4, seed, rule, studentization)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_band, "MIN_N", 1)
+        assert _McSpan(config).buckets is not None
+        res = run_mc(config)
+    assert (res.rep_index.tobytes(), res.z1.tobytes(), res.z2.tobytes()) == public_chain(config)
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [CutoffRule("undersmoothed"), CutoffRule("fixed-tail", tail=300), CutoffRule("optimal")],
+    ids=["undersmoothed", "fixed-tail", "optimal"],
+)
+def test_run_mc_at_n_1e5_takes_the_band_path_and_equals_the_public_chain(rule):
+    config = McConfig(MC_DESIGNS["untied exponential"](0.3), 100_000, 3, 17, rule)
+    assert _McSpan(config).buckets is not None
+    res = run_mc(config)
+    assert (res.rep_index.tobytes(), res.z1.tobytes(), res.z2.tobytes()) == public_chain(config)
+
+
+def test_the_band_path_runs_only_where_it_can_pay():
+    untied, tied = MC_DESIGNS["untied exponential"](0.3), MC_DESIGNS["tied visits"](0.3)
+
+    def banded(spec, n, rule=CutoffRule("undersmoothed")):
+        return _McSpan(McConfig(spec, n, 1, 0, rule)).buckets is not None
+
+    assert banded(untied, _band.MIN_N)
+    assert banded(untied, _band.MIN_N, CutoffRule("fixed-tail", tail=10))
+    assert not banded(untied, _band.MIN_N - 1)
+    # Ties widen the band, and a law spanning many binades needs too many
+    # buckets.
+    assert not banded(tied, _band.MIN_N)
+    wide = TabulatedQuantile((0.0, 0.5, 1.0), (0.0, 1.0, 1e9))
+    assert not banded(MixtureSpec(0.3, Exponential(2.0), wide), _band.MIN_N)
 
 
 def public_thinning(config, thresholds):
