@@ -28,9 +28,8 @@ from .model import (
     _check_real,
     _check_type,
     _Draws,
-    _sort_keys,
+    _sort_records,
     _tail_start,
-    _unpack_keys,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -307,26 +306,27 @@ class _McSpan(_Draws):
     replication: the draw's ``(2, n)`` block, the indicators, the draw's
     scratch and the counts n, n - 1, ..., 1; that is 3.25 doubles per
     record.  Once the indicators are drawn, row 0's event times are free,
-    and the records' packed keys are sorted there.  The keys' indicator
-    bits go to the indicators' own bytes, and the sorted times are then
-    unpacked over the keys, so row 0 holds the sorted times; row 1's
+    and ``_sort_records`` sorts the records there, with the indicators in
+    their own bytes and the tie-group marks in the scratch; row 1's
     unsorted times are free by then and take the tail means at the ones
-    below the cut-off, and the scratch takes the tie-group marks.  An
-    untied replication allocates the positions of its ones (see
-    ``_tail_pair``), and on the band path a few arrays as long as the band
-    or the count of buckets.  It takes the steps of ``simulate``,
-    ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats`` on the same
-    kernels, so its (z1, z2) are the same doubles.  It reads the threshold that
-    ``McConfig`` resolved, and resolves one per replication only for
-    ``fixed-tail``, the one kind that reads the sample.
+    below the cut-off.  An untied replication allocates the positions of
+    its ones (see ``_tail_pair``), and on the band path a few arrays as
+    long as the band or the count of buckets.  It takes the steps of
+    ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
+    on the same kernels, so its (z1, z2) are the same doubles.  It reads
+    the threshold that ``McConfig`` resolved, and resolves one per
+    replication only for ``fixed-tail``, the one kind that reads the
+    sample.
 
     At large n it sorts only the band of the records that can set p2
     (``_band.gather``, whose docstring holds the proof): the buckets' ids
     go to row 0, the band's times are then gathered there and its
-    indicators into the scratch, and its keys are packed and sorted in
-    place, so the workspace does not grow.  The records above the band are
-    only counted, and p2 is the larger of the band's p2 and the floor that
-    the count proves.
+    indicators into the scratch, and the band is sorted in place, so the
+    workspace does not grow.  The records above the band are only counted,
+    and p2 is the larger of the band's p2 and the floor that the count
+    proves.  There n counts the records from the band's start, so the tail
+    is empty, and the replication skipped, only when the band reaches the
+    top and no record reaches the cut-off.
     """
 
     def __init__(self, config: McConfig) -> None:
@@ -350,17 +350,12 @@ class _McSpan(_Draws):
             y = ys = ys[:size]
             bits, marks = bits[:size], opens[:size]
             opens, ramp = marks, ramp[ramp.size - n :]
-        key = ys.view(np.uint64)
-        _sort_keys(y, marks, key)
-        # The keys order a tie group by indicator, not by input position,
-        # which _tail_pair does not read.
-        np.bitwise_and(key, 1, out=bits.view(np.uint8))
-        untied = _unpack_keys(key, ys, opens)
+        untied = _sort_records(y, marks, ys, bits, opens)
         if x is None:
             x = config.cutoff._threshold(config.spec, n, ys)
-        if x > ys[-1] and n == ys.size:
-            return None
         i = _tail_start(ys, _checked_cutoff(x))
+        if i == n:
+            return None
         starts = None if untied else opens.nonzero()[0]
         p1, p2 = _tail_pair(bits.nonzero()[0], n, i, starts, ramp, means, beyond)
         return _z_pair(p1, max(p2, floor), n - i, config.spec.p, config.studentization)

@@ -245,15 +245,9 @@ class SortedSample:
     along; built only from a ``CurrentStatusSample``, so its records are
     checked exactly once.
 
-    Each record is packed into one 64-bit key, the bits of ``y`` shifted up
-    one place with ``delta`` in the freed lowest bit, and the keys are sorted
-    as plain integers.  A checked time is finite and nonnegative, and never
-    ``-0.0``, so its sign bit, the one the shift drops, is clear, and the
-    bits of nonnegative doubles order as their values do; the sorted keys
-    therefore give ``y`` back by a shift down.  Without ties the sorted order
-    is unique, so it is the stable one and ``delta`` is the keys' lowest bit.
-    The keys order a tie by ``delta`` rather than by input position, so a
-    tied sample takes ``delta`` through a stable argsort instead.
+    The records are sorted by ``_sort_records``; its order of a tie group
+    is not the stable one, so a tied sample takes ``delta`` through a
+    stable argsort instead.
 
     ``group_start`` holds the 0-based position opening each run of tied
     inspection times.  Downstream statistics are evaluated once per distinct
@@ -269,13 +263,8 @@ class SortedSample:
     def __post_init__(self, sample: CurrentStatusSample) -> None:
         _check_type("SortedSample", sample, CurrentStatusSample)
         n = sample.n
-        key = np.empty(n, dtype=np.uint64)
-        y = np.empty(n)
-        opens = np.empty(n, dtype=bool)
-        _sort_keys(sample.y, sample.delta, key)
-        if _unpack_keys(key, y, opens):
-            delta = (key & 1).astype(np.int8)
-        else:
+        y, delta, opens = np.empty(n), np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
+        if not _sort_records(sample.y, sample.delta, y, delta, opens):
             delta = sample.delta[sample.y.argsort(kind="stable")]
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "delta", _freeze(delta))
@@ -300,21 +289,29 @@ def _tail_start(y: np.ndarray, x: float) -> int:
     return int(np.searchsorted(y, x, side="left"))
 
 
-def _sort_keys(y, delta, key) -> None:
-    """Pack the checked records ``(y, delta)`` into 64-bit keys (see
-    ``SortedSample``) in the preallocated array ``key`` and sort them there.
-    ``key`` may be ``y``'s own bytes, but may share none with ``delta``."""
+def _sort_records(y, delta, y_sorted, bits, opens) -> bool:
+    """Sort the checked records ``(y, delta)`` by time into the
+    preallocated ``y_sorted`` (times), ``bits`` (indicators, bytes of 0 or
+    1) and ``opens`` (the first record of each tie group marked); return
+    whether the times are untied.  ``y_sorted`` may be ``y``'s own buffer,
+    and ``bits`` or ``opens`` ``delta``'s.  This is the one place that
+    knows the packed keys.
+
+    Each record is packed into one 64-bit key in ``y_sorted``'s bytes, the
+    bits of ``y`` shifted up one place with ``delta`` in the freed lowest
+    bit, and the keys are sorted as plain integers.  A checked time is
+    finite and nonnegative, and never ``-0.0``, so its sign bit, the one
+    the shift drops, is clear, and the bits of nonnegative doubles order as
+    their values do; the sorted keys therefore give the times back by a
+    shift down.  Without ties the sorted order is unique, so it is the
+    stable one and the indicators are the keys' lowest bits.  The keys
+    order a tie group by indicator rather than by input position."""
+    key = y_sorted.view(np.uint64)
     np.left_shift(y.view(np.uint64), 1, out=key)
     np.bitwise_or(key, delta.view(np.uint8), out=key)
     key.sort()
-
-
-def _unpack_keys(key, y_sorted, opens) -> bool:
-    """Write the times of the sorted keys ``key`` to ``y_sorted`` and mark in
-    ``opens`` the first record of each tie group; return whether the times
-    are untied.  ``y_sorted`` may be ``key``'s own bytes viewed as doubles,
-    so a caller that needs the indicator bits takes them first."""
-    np.right_shift(key, 1, out=y_sorted.view(np.uint64))
+    np.bitwise_and(key, 1, out=bits.view(np.uint8))
+    np.right_shift(key, 1, out=key)
     opens[0] = True
     np.not_equal(y_sorted[1:], y_sorted[:-1], out=opens[1:])
     return bool(opens.all())

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import replicate_seeds
-from .model import MixtureSpec, _check_count, _check_type, _Draws, _indicators
+from .model import MixtureSpec, _check_count, _check_real, _check_type, _Draws, _indicators
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ def profile_cure_loglik(fit: NpmleFit, deltas, p: float) -> float:
     maximizer, so this evaluates the profile in the cure fraction without
     re-optimizing.  Nonincreasing in p.
     """
+    _check_real("p", p)
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"p must lie in [0, 1], got {p!r}")
     return log_lik(np.minimum(fit.fhat, 1.0 - p), deltas)

@@ -7,8 +7,9 @@ grid-constrained likelihood maxima, the literal max-min formula for the
 shape-constrained fit, the studentized tail statistics from their literal
 definitions on the sorted records, the guarded cut-off argmin by full-length masks, the
 closed-form frequency of the probe's saturation event, the closed-form
-chances of the thinning check's two tail cells, and a boundary-crossing
-dynamic program for the running maximum of a Bernoulli walk's means.
+chances of the thinning check's two tail cells, and boundary-crossing
+dynamic programs for the running maximum of a Bernoulli walk's means, with
+one chance for every step or one per step.
 """
 
 import itertools
@@ -188,6 +189,41 @@ def running_mean_max_cdf(points, n: int, m: int, q: float, strict: bool = False)
         law[:, 0] *= 1.0 - q
         law[:, : k + 1] *= states[: k + 1] <= bound(k)
     return law.sum(axis=1)
+
+
+def conditional_running_mean_max_cdf(points, q, opens, start, strict: bool = False) -> np.ndarray:
+    """P(p2 <= c) for each row r, with c the rational ``points[r]``, when
+    the indicators of row r's n sorted records are independent with chances
+    ``q[r]`` (Poisson-binomial); with ``strict``, P(p2 < c).  p2 is the
+    largest tail mean at an opening up to the cut-off's: the openings are
+    the positions g marked in ``opens[r]`` with g <= ``start[r]``.
+
+    This is the law of run_mc's p2 given the inspection times y, with
+    q_i = (1 - p) F(y_i).  As in ``running_mean_max_cdf``, a forward
+    dynamic program reads the records from the top, carries the law of the
+    count S_k of ones among the k largest, and zeroes the states above the
+    integer boundary, here only at k = n - g for an opening g up to the
+    cut-off's, so a tie group is checked once, with all its records in.
+    The rows advance together."""
+    fracs = [Fraction(c) for c in points]
+    a = np.array([f.numerator for f in fracs], dtype=np.int64)
+    b = np.array([f.denominator for f in fracs], dtype=np.int64)
+    rows, n = q.shape
+    states = np.arange(n + 1)[:, None]
+    checked = opens & (np.arange(n) <= np.asarray(start)[:, None])
+    # law[s, r]: the chance of row r's paths at s ones that stayed under
+    # the boundary so far.
+    law = np.zeros((n + 1, rows))
+    law[0] = 1.0
+    for k in range(1, n + 1):
+        qk = q[:, n - k]
+        up = law[:k] * qk
+        law[:k] *= 1.0 - qk
+        law[1 : k + 1] += up
+        # The largest state kept: the boundary's where it is checked.
+        bound = (a * k - 1) // b if strict else (a * k) // b
+        law[: k + 1] *= states[: k + 1] <= np.where(checked[:, n - k], bound, k)
+    return law.sum(axis=0)
 
 
 def mse_profile_by_quadrature(x: float, n: int, p: float,

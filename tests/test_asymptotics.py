@@ -30,7 +30,11 @@ from curest import (
     choice_at_index,
     cv_m2_curve,
     inconsistency_probe,
+    npmle_pava,
+    profile_cure_loglik,
     select_cutoff,
+    theoretical_cutoff_exponential,
+    theoretical_mn,
     thinning_check,
     trace,
     z_stats,
@@ -436,6 +440,29 @@ def test_simulate_and_the_probe_refuse_a_spec_of_another_type(call, owner, shown
         (lambda: MixtureSpec(True, Exponential(2.0), Exponential(1.0)), "cure fraction p"),
         (lambda: Exponential(True), "rate"),
         (lambda: z_stats(_sorted_draw(), True, 0.3), "cut-off"),
+        pytest.param(lambda: theoretical_mn(0.5, 100, True, 2.0, 1.0), "p", id="mn-p"),
+        pytest.param(
+            lambda: theoretical_mn(0.5, 100, 0.3, True, 1.0), "event rate", id="mn-event-rate"
+        ),
+        pytest.param(
+            lambda: theoretical_mn(0.5, 100, 0.3, 2.0, True),
+            "inspection rate",
+            id="mn-inspection-rate",
+        ),
+        pytest.param(
+            lambda: theoretical_cutoff_exponential(100, 0.3, True, 1.0),
+            "event rate",
+            id="cutoff-event-rate",
+        ),
+        pytest.param(
+            lambda: theoretical_cutoff_exponential(100, 0.3, 2.0, True),
+            "inspection rate",
+            id="cutoff-inspection-rate",
+        ),
+        pytest.param(
+            lambda: profile_cure_loglik(npmle_pava([0, 1, 1]), [0, 1, 1], True), "p", id="profile-p"
+        ),
+        pytest.param(lambda: CutoffChoice("x", 1, True), "threshold", id="choice-threshold"),
     ],
 )
 def test_a_bool_is_not_a_real_number(call, name):

@@ -432,7 +432,7 @@ def test_theoretical_mn_diverges():
 def test_theoretical_mn_rejects_bad_inputs():
     with pytest.raises(ValueError):
         theoretical_mn(-0.5, n=100, p=0.3, event_rate=2.0, inspect_rate=1.0)
-    for x in (math.nan, [0.5, math.nan]):
+    for x in (math.nan, [0.5, math.nan], math.inf, [0.5, math.inf]):
         with pytest.raises(ValueError, match="x must be nonnegative"):
             theoretical_mn(x, n=100, p=0.3, event_rate=2.0, inspect_rate=1.0)
     with pytest.raises(ValueError):

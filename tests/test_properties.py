@@ -6,6 +6,7 @@ import math
 import sys
 import tempfile
 from concurrent.futures import Future
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -43,13 +44,15 @@ from curest import (
 )
 from curest import _band, _parallel
 from curest._parallel import chunk_spans, replicate_seeds
-from curest.asymptotics import _McSpan, _tail_pair
-from curest.model import _Draws
+from curest.asymptotics import _McSpan, _tail_pair, _z_pair
+from curest.model import _Draws, _sort_records
 from curest.npmle import _ProbeSpan
 
 from oracles import (
+    conditional_running_mean_max_cdf,
     maxmin_brute,
     optimal_cutoff_hp,
+    running_mean_max_cdf,
     select_cutoff_reference,
     z_stats_by_definition,
 )
@@ -509,6 +512,81 @@ def test_the_chain_examples_reach_their_edge_cases():
     assert 0 in ones and max(ones) > 0
 
 
+CONDITIONAL_REPS = 2000
+CONDITIONAL_KS_BOUND = 1.95 / math.sqrt(CONDITIONAL_REPS)  # 99.9 % point of the KS law
+CONDITIONAL_RUNS = {
+    "untied exponential": (CutoffRule("fixed-x", x=0.5), 41_000),
+    "tied visits": (CutoffRule("fixed-tail", tail=30), 47_000),
+}
+
+
+def conditional_pit(design, workers, event=None):
+    """run_mc's replications of ``design`` at n = 200 with each observed p2
+    mapped through its law given the replication's inspection times: the
+    randomized U = P(p2 < obs | y) + V P(p2 = obs | y), uniform on (0, 1)
+    when the law is right.  The chances q_i = (1 - p) F(y_i) take F from
+    ``event``, by default the design's own event law.  Each replication's
+    (z1, z2) is checked against the p1 and p2 read off its sorted records
+    as a whole count of ones over a whole count of records."""
+    n, p = 200, 0.3
+    spec = MC_DESIGNS[design](p)
+    rule, seed = CONDITIONAL_RUNS[design]
+    config = McConfig(spec, n, CONDITIONAL_REPS, seed + 1000 * workers, rule)
+    res = run_mc(config, workers=workers)
+    assert res.retained == CONDITIONAL_REPS
+    event = spec.event if event is None else event
+    q, opens = np.empty((CONDITIONAL_REPS, n)), np.zeros((CONDITIONAL_REPS, n), dtype=bool)
+    start, obs = [], []
+    for k in range(CONDITIONAL_REPS):
+        ss = SortedSample(simulate(spec, n, config.seed + k))
+        i = ss.tail_start(rule.resolve(spec, ss))
+        ones = np.concatenate([np.cumsum(ss.delta[::-1], dtype=np.int64)[::-1], [0]])
+        g = ss.group_start[ss.group_start <= i]
+        top = g[np.argmax(ones[g] / (n - g))]
+        p1, p2 = int(ones[i]) / (n - i), int(ones[top]) / (n - top)
+        assert (res.z1[k], res.z2[k]) == _z_pair(p1, p2, n - i, p, "known-p")
+        q[k] = (1.0 - p) * event.cdf(ss.y)
+        opens[k, ss.group_start] = True
+        start.append(i)
+        obs.append(Fraction(int(ones[top]), int(n - top)))
+    at = conditional_running_mean_max_cdf(obs, q, opens, start)
+    below = conditional_running_mean_max_cdf(obs, q, opens, start, strict=True)
+    return below + np.random.default_rng(seed).random(CONDITIONAL_REPS) * (at - below)
+
+
+def ks_uniform(u):
+    u = np.sort(u)
+    steps = np.arange(1, u.size + 1) / u.size
+    return float(max((steps - u).max(), (u - steps + 1.0 / u.size).max()))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("design", sorted(CONDITIONAL_RUNS))
+def test_run_mc_draws_the_exact_law_of_p2_given_the_inspection_times(design, workers):
+    # Given y, the indicators are independent with chances (1 - p) F(y_i),
+    # so each replication's p2 has an exact law, and the randomized PIT of
+    # the observed p2 is uniform.  The seeds and the bound were fixed
+    # before any run.
+    gap = ks_uniform(conditional_pit(design, workers))
+    assert gap <= CONDITIONAL_KS_BOUND, f"KS gap {gap:.4f}"
+
+
+def test_the_conditional_law_sees_a_wrong_event_law():
+    gap = ks_uniform(conditional_pit("untied exponential", 1, Exponential(1.5)))
+    assert gap > CONDITIONAL_KS_BOUND, f"KS gap {gap:.4f}"
+
+
+def test_the_conditional_law_at_one_chance_is_the_iid_law():
+    n, m, q = 40, 7, 0.65
+    points = sorted({Fraction(s, k) for k in range(m, n + 1) for s in range(0, k + 1, 3)})
+    rows = len(points)
+    opens = np.ones((rows, n), dtype=bool)
+    for strict in (False, True):
+        chances = np.full((rows, n), q)
+        got = conditional_running_mean_max_cdf(points, chances, opens, [n - m] * rows, strict)
+        assert got == pytest.approx(running_mean_max_cdf(points, n, m, q, strict), abs=1e-12)
+
+
 @st.composite
 def band_samples(draw):
     """Samples for the band path: untied and tied times (``large_samples``
@@ -524,6 +602,40 @@ def band_samples(draw):
     elif pattern == "top":
         delta = (y >= np.sort(y)[n - draw(st.integers(1, n))]).astype(np.int8)
     return CurrentStatusSample(delta=delta, y=y)
+
+
+@CASES
+@given(sample=band_samples(), alias=st.sampled_from(["none", "y_sorted", "bits", "opens"]))
+@example(sample=CurrentStatusSample(delta=[1], y=[0.0]), alias="y_sorted")
+@example(sample=CurrentStatusSample(delta=[0, 1, 1, 0], y=[2.0, 1.0, 2.0, 1.0]), alias="opens")
+def test_sort_records_sorts_the_records_into_its_buffers(sample, alias):
+    # The aliases are the ones run_mc's workspace takes: the sorted times
+    # over the unsorted ones (the band path), and the indicator bits (the
+    # whole-sample path) or the tie marks (the band path) over the
+    # indicators.
+    n, order = sample.n, np.argsort(sample.y, kind="stable")
+    y, y_sorted = sample.y.copy(), np.empty(n)
+    delta, bits = sample.delta.astype(bool), np.empty(n, dtype=np.int8)
+    opens = np.empty(n, dtype=bool)
+    if alias == "y_sorted":
+        y_sorted = y
+    elif alias == "bits":
+        delta = bits = sample.delta.copy()
+    elif alias == "opens":
+        opens = delta
+    untied = _sort_records(y, delta, y_sorted, bits, opens)
+    want_y = sample.y[order]
+    assert y_sorted.tobytes() == want_y.tobytes()
+    want_opens = np.concatenate([[True], want_y[1:] != want_y[:-1]])
+    assert opens.tobytes() == want_opens.tobytes()
+    assert untied == bool(want_opens.all())
+    raw = bits.view(np.uint8)
+    assert raw.max() <= 1
+    starts = want_opens.nonzero()[0]
+    sums = np.add.reduceat(raw.astype(np.int64), starts)
+    assert sums.tobytes() == np.add.reduceat(sample.delta[order].astype(np.int64), starts).tobytes()
+    if untied:
+        assert raw.tobytes() == sample.delta[order].astype(np.uint8).tobytes()
 
 
 def band_rules(n):
@@ -595,6 +707,20 @@ def test_the_band_kernel_sorts_from_the_lowest_bucket_whose_bound_exceeds_the_fl
     config = McConfig(spec, 5, 1, 0, CutoffRule("fixed-x", x=3.0))
     assert trace(SortedSample(sample)).p2[3] == 1 / 3  # at the cut-off's record
     assert band_kernel(sample, config, 1.0, 52) == public_pair(sample, config)
+
+
+def test_the_band_kernel_keeps_a_tail_that_lies_above_the_band():
+    # With one bucket per binade of y + 1, the cut-off 2.5 lies in the
+    # bucket [1, 3), whose records 1.0 and 2.0 both lie below it.  The band
+    # ends with that bucket, so no record of the band reaches the cut-off,
+    # but the two records above the band make the tail: the replication is
+    # kept.
+    sample = CurrentStatusSample(delta=[0, 1, 1, 0, 1], y=[0.5, 1.0, 2.0, 4.0, 5.0])
+    spec = MixtureSpec(0.3, Exponential(2.0), Exponential(1.0))
+    config = McConfig(spec, 5, 1, 0, CutoffRule("fixed-x", x=2.5))
+    want = public_pair(sample, config)
+    assert want is not None
+    assert band_kernel(sample, config, 1.0, 52) == want
 
 
 @FEW_CASES
