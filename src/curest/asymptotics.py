@@ -101,10 +101,8 @@ def z_stats(
     """
     if studentization not in ("known-p", "plug-in"):
         raise ValueError(f"studentization must be 'known-p' or 'plug-in', got {studentization!r}")
-    if not (0.0 < p_true < 1.0):
-        raise ValueError(f"p_true must lie strictly inside (0, 1), got {p_true!r}")
-    _check_real("cut-off", x_n)
-    i = ss.tail_start(_checked_cutoff(x_n))
+    _check_real("p_true", p_true, "inner")
+    i = ss.tail_start(_check_real("cut-off", x_n, "nonnegative"))
     n, starts = ss.n, ss.group_start
     p1, p2 = _tail_pair(ss.delta.nonzero()[0], n, i, None if starts.size == n else starts)
     z1, z2 = _z_pair(p1, p2, n - i, p_true, studentization)
@@ -153,13 +151,6 @@ def _tail_pair(
     counts = np.arange(k, k - j, -1.0) if ramp is None else ramp[n - k : n - k + j]
     np.divide(counts, means, out=means)
     return p1, max(p1, float(means.max()))
-
-
-def _checked_cutoff(x_n) -> float:
-    x_n = float(x_n)
-    if not math.isfinite(x_n) or x_n < 0:
-        raise ValueError("cut-off must be finite and nonnegative")
-    return x_n
 
 
 def _z_pair(
@@ -212,9 +203,11 @@ class CutoffRule:
             if name != uses and getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} rule takes no {name}")
         if self.kind == "fixed-x":
-            _check_real("fixed-x rule's x", self.x)
-            if self.x is None or not math.isfinite(self.x) or self.x < 0:
+            # A missing x is a ValueError, which the CLI reports as a usage
+            # error; math.isfinite(None) would raise a TypeError.
+            if self.x is None:
                 raise ValueError("fixed-x rule needs a finite nonnegative x")
+            _check_real("fixed-x rule's x", self.x, "nonnegative")
         if self.kind == "fixed-tail":
             _check_count("fixed-tail rule's tail", self.tail, 1)
 
@@ -353,7 +346,7 @@ class _McSpan(_Draws):
         untied = _sort_records(y, marks, ys, bits, opens)
         if x is None:
             x = config.cutoff._threshold(config.spec, n, ys)
-        i = _tail_start(ys, _checked_cutoff(x))
+        i = _tail_start(ys, _check_real("cut-off", x, "nonnegative"))
         if i == n:
             return None
         starts = None if untied else opens.nonzero()[0]
@@ -419,12 +412,15 @@ class ThinningConfig:
         _check_count("n", self.n, 1)
         _check_count("reps", self.reps, 1)
         _check_count("seed", self.seed, 0)
-        targets = np.asarray(self.target_means, dtype=float)
+        # An object array keeps each entry as given, so a bool or a string
+        # reaches the check rather than numpy's cast to float.
+        targets = np.asarray(self.target_means, dtype=object)
         if targets.ndim != 1 or targets.size == 0:
             raise ValueError("target_means must be a nonempty 1-d sequence")
-        if np.any(~np.isfinite(targets)) or np.any(targets <= 0) or np.any(targets > self.n):
+        targets = tuple(_check_real("target mean", t, "positive") for t in targets)
+        if any(t > self.n for t in targets):
             raise ValueError("each target mean must satisfy 0 < target <= n")
-        object.__setattr__(self, "target_means", tuple(targets.tolist()))
+        object.__setattr__(self, "target_means", targets)
 
 
 @dataclass(frozen=True)

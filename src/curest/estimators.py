@@ -103,9 +103,7 @@ class CutoffChoice:
     def __post_init__(self) -> None:
         _check_count("index", self.index, 1)
         _check_count("guard", self.guard, 1)
-        _check_real("threshold", self.threshold)
-        if not (math.isfinite(self.threshold) and self.threshold >= 0.0):
-            raise ValueError(f"threshold must be finite and nonnegative, got {self.threshold!r}")
+        _check_real("threshold", self.threshold, "nonnegative")
 
 
 @dataclass(frozen=True)
@@ -294,22 +292,14 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
     return _choice_at_entry(tr, best, f"cv-{curve.flavor}", guard)
 
 
-def _check_rates(event_rate, inspect_rate) -> None:
-    _check_real("event rate", event_rate)
-    _check_real("inspection rate", inspect_rate)
-    if not all(math.isfinite(r) and r > 0 for r in (event_rate, inspect_rate)):
-        raise ValueError("rates must be positive and finite")
-
-
 def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
     """Theoretical MSE profile of the tail average for exponential designs:
     p(1-p)/n * exp(mu x) + ((1-p) mu / (lam + mu))^2 * exp(-2 lam x)
     with lam the event rate and mu the inspection rate."""
     _check_count("n", n, 1)
-    _check_real("p", p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
-    _check_rates(event_rate, inspect_rate)
+    _check_real("p", p, "unit")
+    _check_real("event rate", event_rate, "positive")
+    _check_real("inspection rate", inspect_rate, "positive")
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0) & (x < math.inf)):  # NaN fails this form too
         raise ValueError("x must be nonnegative and finite")
@@ -338,11 +328,10 @@ def theoretical_cutoff_exponential(
     n^(2 lam / (mu + 2 lam)).  Beyond ordinary magnitudes the same formula
     is taken in logs, and a cut-off past the largest float is refused.
     """
-    _check_real("p", p)
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
+    _check_real("p", p, "inner")
     _check_count("n", n, 1)
-    _check_rates(event_rate, inspect_rate)
+    _check_real("event rate", event_rate, "positive")
+    _check_real("inspection rate", inspect_rate, "positive")
     lam, mu = event_rate, inspect_rate
     if all(_PLAIN_LO < v < _PLAIN_HI for v in (lam, mu, p, n)):
         arg = 2.0 * lam * (1.0 - p) * mu * n / (p * (lam + mu) ** 2)

@@ -59,9 +59,7 @@ class Exponential(_Law):
     rate: float
 
     def __post_init__(self) -> None:
-        _check_real("rate", self.rate)
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
+        _check_real("rate", self.rate, "positive")
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -90,21 +88,16 @@ class TabulatedQuantile(_Law):
     values: tuple
 
     def __post_init__(self) -> None:
-        probs = tuple(float(u) for u in self.probs)
-        values = tuple(float(v) for v in self.values)
+        probs = tuple(_check_real("probs", u, "finite") for u in self.probs)
+        values = tuple(_check_real("values", v, "finite") for v in self.values)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "values", values)
         if len(probs) != len(values) or len(probs) < 2:
             raise ValueError("probs and values must have equal length >= 2")
         if probs[0] != 0.0 or probs[-1] != 1.0:
             raise ValueError("probs must start at 0 and end at 1")
-        # A NaN compares False both ways, so the order check cannot see it.
-        if any(not math.isfinite(u) for u in probs):
-            raise ValueError("probs must be finite")
         if any(a > b for a, b in zip(probs, probs[1:])):
             raise ValueError("probs must be nondecreasing")
-        if any(not math.isfinite(v) for v in values):
-            raise ValueError("values must be finite")
         if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError("values must be nondecreasing")
         object.__setattr__(self, "_atoms", any(a == b for a, b in zip(values, values[1:])))
@@ -159,9 +152,7 @@ class MixtureSpec:
     inspection: DistSpec
 
     def __post_init__(self) -> None:
-        _check_real("cure fraction p", self.p)
-        if not (math.isfinite(self.p) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"cure fraction p must lie in [0, 1], got {self.p!r}")
+        _check_real("cure fraction p", self.p, "unit")
 
 
 def _check_count(name: str, value, low: int) -> None:
@@ -176,11 +167,31 @@ def _check_count(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
 
 
-def _check_real(name: str, value) -> None:
-    """Refuse a bool where a real number is read, so True is not read as
-    1.0; the caller checks the number's range."""
+# The ranges a real parameter may be checked against: the words of the
+# message that refuses a value outside one, and the test of a finite value.
+_RANGES = {
+    "finite": ("be finite", lambda v: True),
+    "nonnegative": ("be finite and nonnegative", lambda v: v >= 0.0),
+    "positive": ("be positive and finite", lambda v: v > 0.0),
+    "unit": ("lie in [0, 1]", lambda v: 0.0 <= v <= 1.0),
+    "inner": ("lie strictly inside (0, 1)", lambda v: 0.0 < v < 1.0),
+}
+
+
+def _check_real(name: str, value, within: str) -> float:
+    """``value`` as a float, once it is checked to be a finite real number
+    in the range ``within`` names (see ``_RANGES``).  A bool is refused
+    first, so True is not read as 1.0; then ``math.isfinite`` raises its
+    ``TypeError`` for anything that is not a real number, such as a string,
+    so "0.5" is not read as 0.5; a value outside the range raises a
+    ``ValueError``.  Every range is finite, so NaN and the infinities never
+    pass."""
     if isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    words, holds = _RANGES[within]
+    if not (math.isfinite(value) and holds(value)):
+        raise ValueError(f"{name} must {words}, got {value!r}")
+    return float(value)
 
 
 def _check_type(owner: str, value, cls: type) -> None:

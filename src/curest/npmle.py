@@ -101,9 +101,7 @@ def profile_cure_loglik(fit: NpmleFit, deltas, p: float) -> float:
     maximizer, so this evaluates the profile in the cure fraction without
     re-optimizing.  Nonincreasing in p.
     """
-    _check_real("p", p)
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    _check_real("p", p, "unit")
     return log_lik(np.minimum(fit.fhat, 1.0 - p), deltas)
 
 

@@ -463,12 +463,111 @@ def test_simulate_and_the_probe_refuse_a_spec_of_another_type(call, owner, shown
             lambda: profile_cure_loglik(npmle_pava([0, 1, 1]), [0, 1, 1], True), "p", id="profile-p"
         ),
         pytest.param(lambda: CutoffChoice("x", 1, True), "threshold", id="choice-threshold"),
+        pytest.param(
+            lambda: ThinningConfig(_SPEC, 100, (True, 5), 3, 0), "target mean", id="thinning-target"
+        ),
+        pytest.param(lambda: TabulatedQuantile((0.0, True), (1.0, 2.0)), "probs", id="table-prob"),
+        pytest.param(
+            lambda: TabulatedQuantile((0.0, 1.0), (1.0, True)), "values", id="table-value"
+        ),
+        pytest.param(lambda: z_stats(_sorted_draw(), 0.5, True), "p_true", id="z-stats-p-true"),
     ],
 )
 def test_a_bool_is_not_a_real_number(call, name):
     # bool is a subclass of int, so True would otherwise be read as 1.0.
     with pytest.raises(ValueError, match=rf"^{name} must be a real number, got True$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: Exponential("2"), id="rate"),
+        pytest.param(lambda: MixtureSpec("0.3", Exponential(2.0), Exponential(1.0)), id="p"),
+        pytest.param(lambda: CutoffRule("fixed-x", x="0.3"), id="fixed-x"),
+        pytest.param(lambda: CutoffChoice("x", 1, "0.3"), id="choice-threshold"),
+        pytest.param(
+            lambda: profile_cure_loglik(npmle_pava([0, 1, 1]), [0, 1, 1], "0.3"), id="profile-p"
+        ),
+        pytest.param(lambda: theoretical_mn(0.5, 100, "0.3", 2.0, 1.0), id="mn-p"),
+        pytest.param(lambda: theoretical_mn(0.5, 100, 0.3, "2", 1.0), id="mn-event-rate"),
+        pytest.param(lambda: theoretical_mn(0.5, 100, 0.3, 2.0, "1"), id="mn-inspection-rate"),
+        pytest.param(lambda: theoretical_cutoff_exponential(100, "0.3", 2.0, 1.0), id="cutoff-p"),
+        pytest.param(
+            lambda: theoretical_cutoff_exponential(100, 0.3, "2", 1.0), id="cutoff-event-rate"
+        ),
+        pytest.param(
+            lambda: theoretical_cutoff_exponential(100, 0.3, 2.0, "1"), id="cutoff-inspection-rate"
+        ),
+        pytest.param(lambda: z_stats(_sorted_draw(), "0.5", 0.3), id="z-stats-cut-off"),
+        pytest.param(lambda: z_stats(_sorted_draw(), 0.5, "0.3"), id="z-stats-p-true"),
+        pytest.param(lambda: ThinningConfig(_SPEC, 100, ("10",), 3, 0), id="thinning-target"),
+        pytest.param(lambda: TabulatedQuantile(("0", "1"), (1.0, 2.0)), id="table-prob"),
+        pytest.param(lambda: TabulatedQuantile((0.0, 1.0), ("1", "2")), id="table-value"),
+    ],
+)
+def test_a_string_is_not_a_real_number(call):
+    # float("0.3") would read the string as a number; math.isfinite refuses it.
+    with pytest.raises(TypeError, match="must be real number, not str"):
+        call()
+
+
+# The edges of the five ranges of a real parameter, by test id.
+_EDGES = {
+    "0": 0.0,
+    "-0.0": -0.0,
+    "1": 1.0,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "nan": math.nan,
+    "5e-324": 5e-324,
+}
+
+
+@pytest.mark.parametrize(
+    "build, name, words, accepted",
+    [
+        pytest.param(
+            TabulatedQuantile.point_mass,
+            "values",
+            "be finite",
+            {"0", "-0.0", "1", "5e-324"},
+            id="finite",
+        ),
+        pytest.param(
+            lambda v: CutoffChoice("x", 1, v),
+            "threshold",
+            "be finite and nonnegative",
+            {"0", "-0.0", "1", "5e-324"},
+            id="nonnegative",
+        ),
+        pytest.param(Exponential, "rate", "be positive and finite", {"1", "5e-324"}, id="positive"),
+        pytest.param(
+            lambda v: MixtureSpec(v, Exponential(2.0), Exponential(1.0)),
+            "cure fraction p",
+            r"lie in \[0, 1\]",
+            {"0", "-0.0", "1", "5e-324"},
+            id="unit",
+        ),
+        pytest.param(
+            lambda v: theoretical_cutoff_exponential(100, v, 2.0, 1.0),
+            "p",
+            r"lie strictly inside \(0, 1\)",
+            {"5e-324"},
+            id="inner",
+        ),
+    ],
+)
+@pytest.mark.parametrize("edge", list(_EDGES))
+def test_each_range_takes_its_edges_as_documented(build, name, words, accepted, edge):
+    # Every range is finite; zero's sign does not matter, and the smallest
+    # subnormal is positive and inside (0, 1).
+    value = _EDGES[edge]
+    if edge in accepted:
+        build(value)
+    else:
+        with pytest.raises(ValueError, match=rf"^{name} must {words}, got {value!r}$"):
+            build(value)
 
 
 def _array_bytes(workspace) -> int:
