@@ -47,8 +47,8 @@ def buckets(law, n: int, x: float | None) -> tuple[float, int] | None:
         return None
     if x is not None and not (math.isfinite(x) and x >= 0):
         return None
-    origin = math.ldexp(1.0, min(math.frexp(float(law.quantile(0.5)))[1], 1023))
-    if not float(law.quantile(_BELOW_ONE)) < math.ldexp(origin, _BINADES):
+    origin = math.ldexp(1.0, min(math.frexp(law.quantile(0.5))[1], 1023))
+    if not law.quantile(_BELOW_ONE) < math.ldexp(origin, _BINADES):
         return None
     return origin, _BITS - n.bit_length()
 

@@ -17,7 +17,7 @@ from .model import _check_count
 def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous [start, stop) spans covering range(reps), in order: one
     span for one worker, else up to four per worker."""
-    _check_count("reps", reps, 1)
+    reps = _check_count("reps", reps, 1)
     chunks = 1 if workers == 1 else max(1, min(reps, workers * 4))
     edges = [round(i * reps / chunks) for i in range(chunks + 1)]
     return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
@@ -26,7 +26,7 @@ def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
 def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:
     """Run ``fn(*args, start, stop)`` over chunked replication spans; the
     results come back in span order for any worker count."""
-    _check_count("workers", workers, 1)
+    workers = _check_count("workers", workers, 1)
     spans = chunk_spans(reps, workers)
     if len(spans) == 1:
         return [fn(*args, a, b) for a, b in spans]

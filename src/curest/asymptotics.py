@@ -101,7 +101,7 @@ def z_stats(
     """
     if studentization not in ("known-p", "plug-in"):
         raise ValueError(f"studentization must be 'known-p' or 'plug-in', got {studentization!r}")
-    _check_real("p_true", p_true, "inner")
+    p_true = _check_real("p_true", p_true, "inner")
     i = ss.tail_start(_check_real("cut-off", x_n, "nonnegative"))
     n, starts = ss.n, ss.group_start
     p1, p2 = _tail_pair(ss.delta.nonzero()[0], n, i, None if starts.size == n else starts)
@@ -207,9 +207,9 @@ class CutoffRule:
             # error; math.isfinite(None) would raise a TypeError.
             if self.x is None:
                 raise ValueError("fixed-x rule needs a finite nonnegative x")
-            _check_real("fixed-x rule's x", self.x, "nonnegative")
+            object.__setattr__(self, "x", _check_real("fixed-x rule's x", self.x, "nonnegative"))
         if self.kind == "fixed-tail":
-            _check_count("fixed-tail rule's tail", self.tail, 1)
+            object.__setattr__(self, "tail", _check_count("fixed-tail rule's tail", self.tail, 1))
 
     def resolve(self, spec: MixtureSpec, ss: SortedSample) -> float:
         return self._threshold(spec, ss.n, ss.y)
@@ -218,11 +218,11 @@ class CutoffRule:
         """The threshold for a sample of ``n`` records; only ``fixed-tail``
         reads their sorted inspection times ``y``."""
         if self.kind == "fixed-x":
-            return float(self.x)
+            return self.x
         if self.kind == "optimal":
             return _optimal_cutoff(spec, n)
         if self.kind == "undersmoothed":
-            return float(spec.inspection.quantile(1.0 - 1.0 / math.sqrt(n)))
+            return spec.inspection.quantile(1.0 - 1.0 / math.sqrt(n))
         m = min(self.tail, n)
         return float(y[n - m])
 
@@ -252,9 +252,9 @@ class McConfig:
     def __post_init__(self) -> None:
         _check_type("McConfig", self.spec, MixtureSpec)
         _check_type("McConfig", self.cutoff, CutoffRule)
-        _check_count("n", self.n, 1)
-        _check_count("reps", self.reps, 1)
-        _check_count("seed", self.seed, 0)
+        object.__setattr__(self, "n", _check_count("n", self.n, 1))
+        object.__setattr__(self, "reps", _check_count("reps", self.reps, 1))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
         if not (0.0 < self.spec.p < 1.0):
             raise ValueError("Monte Carlo centering needs 0 < p < 1")
         if self.studentization not in ("known-p", "plug-in"):
@@ -325,7 +325,7 @@ class _McSpan(_Draws):
     def __init__(self, config: McConfig) -> None:
         super().__init__(config.spec, config.n)
         self.config = config
-        self.ramp = np.arange(float(config.n), 0.0, -1.0)
+        self.ramp = np.arange(config.n, 0.0, -1.0)
         self.buckets = _band.buckets(config.spec.inspection, config.n, config._x_n)
 
     def __call__(self, seed: int) -> tuple[float, float] | None:
@@ -409,9 +409,9 @@ class ThinningConfig:
 
     def __post_init__(self) -> None:
         _check_type("ThinningConfig", self.spec, MixtureSpec)
-        _check_count("n", self.n, 1)
-        _check_count("reps", self.reps, 1)
-        _check_count("seed", self.seed, 0)
+        object.__setattr__(self, "n", _check_count("n", self.n, 1))
+        object.__setattr__(self, "reps", _check_count("reps", self.reps, 1))
+        object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
         # An object array keeps each entry as given, so a bool or a string
         # reaches the check rather than numpy's cast to float.
         targets = np.asarray(self.target_means, dtype=object)

@@ -101,9 +101,10 @@ class CutoffChoice:
     guard: int = 1
 
     def __post_init__(self) -> None:
-        _check_count("index", self.index, 1)
-        _check_count("guard", self.guard, 1)
-        _check_real("threshold", self.threshold, "nonnegative")
+        object.__setattr__(self, "index", _check_count("index", self.index, 1))
+        object.__setattr__(self, "guard", _check_count("guard", self.guard, 1))
+        threshold = _check_real("threshold", self.threshold, "nonnegative")
+        object.__setattr__(self, "threshold", threshold)
 
 
 @dataclass(frozen=True)
@@ -179,13 +180,13 @@ def choice_at_index(
 ) -> CutoffChoice:
     """CutoffChoice at a 1-based sorted-sample position, resolved to the
     threshold of the tie group containing it."""
-    _check_count("index", index, 1)
+    index = _check_count("index", index, 1)
     return _choice_at_entry(tr, _entry_for_index(tr, index), method, guard)
 
 
 def _choice_at_entry(tr: EstimatorTrace, entry: int, method: str, guard: int) -> CutoffChoice:
     """The CutoffChoice at the tie group of trace entry ``entry``."""
-    return CutoffChoice(method, int(tr.index[entry]), float(tr.y[entry]), guard)
+    return CutoffChoice(method, tr.index[entry], tr.y[entry], guard)
 
 
 def plug_ins(tr: EstimatorTrace) -> PlugIns:
@@ -277,7 +278,7 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
     Tail counts fall strictly along a trace, so the guarded entries are a
     prefix of it.  Ties resolve to the smallest index.
     """
-    _check_count("guard", guard, 1)
+    guard = _check_count("guard", guard, 1)
     tr = curve.trace
     k = int(np.count_nonzero(tr.tail_count >= guard))
     if k == 0:
@@ -296,14 +297,12 @@ def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
     """Theoretical MSE profile of the tail average for exponential designs:
     p(1-p)/n * exp(mu x) + ((1-p) mu / (lam + mu))^2 * exp(-2 lam x)
     with lam the event rate and mu the inspection rate."""
-    _check_count("n", n, 1)
-    _check_real("p", p, "unit")
-    _check_real("event rate", event_rate, "positive")
-    _check_real("inspection rate", inspect_rate, "positive")
+    n, p = _check_count("n", n, 1), _check_real("p", p, "unit")
+    lam = _check_real("event rate", event_rate, "positive")
+    mu = _check_real("inspection rate", inspect_rate, "positive")
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0) & (x < math.inf)):  # NaN fails this form too
         raise ValueError("x must be nonnegative and finite")
-    lam, mu = event_rate, inspect_rate
     variance = p * (1.0 - p) / n * np.exp(mu * x)
     bias = (1.0 - p) * mu / (lam + mu) * np.exp(-lam * x)
     out = variance + bias * bias
@@ -328,11 +327,9 @@ def theoretical_cutoff_exponential(
     n^(2 lam / (mu + 2 lam)).  Beyond ordinary magnitudes the same formula
     is taken in logs, and a cut-off past the largest float is refused.
     """
-    _check_real("p", p, "inner")
-    _check_count("n", n, 1)
-    _check_real("event rate", event_rate, "positive")
-    _check_real("inspection rate", inspect_rate, "positive")
-    lam, mu = event_rate, inspect_rate
+    p, n = _check_real("p", p, "inner"), _check_count("n", n, 1)
+    lam = _check_real("event rate", event_rate, "positive")
+    mu = _check_real("inspection rate", inspect_rate, "positive")
     if all(_PLAIN_LO < v < _PLAIN_HI for v in (lam, mu, p, n)):
         arg = 2.0 * lam * (1.0 - p) * mu * n / (p * (lam + mu) ** 2)
         if arg <= 1.0:

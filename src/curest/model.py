@@ -59,7 +59,7 @@ class Exponential(_Law):
     rate: float
 
     def __post_init__(self) -> None:
-        _check_real("rate", self.rate, "positive")
+        object.__setattr__(self, "rate", _check_real("rate", self.rate, "positive"))
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -152,19 +152,20 @@ class MixtureSpec:
     inspection: DistSpec
 
     def __post_init__(self) -> None:
-        _check_real("cure fraction p", self.p, "unit")
+        object.__setattr__(self, "p", _check_real("cure fraction p", self.p, "unit"))
 
 
-def _check_count(name: str, value, low: int) -> None:
-    """Refuse ``value`` unless it is an integer of at least ``low``; a float
-    never passes, not even a whole one, so 2.5 is not read as 2, and neither
-    does a bool, so True is not read as 1."""
+def _check_count(name: str, value, low: int) -> int:
+    """``value`` as an int, once it is checked to be an integer of at least
+    ``low``; a float never passes, not even a whole one, so 2.5 is not read
+    as 2, and neither does a bool, so True is not read as 1."""
     try:
-        ok = not isinstance(value, bool) and operator.index(value) >= low
+        count = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        ok = False
-    if not ok:
+        count = None
+    if count is None or count < low:
         raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return count
 
 
 # The ranges a real parameter may be checked against: the words of the
@@ -180,18 +181,21 @@ _RANGES = {
 
 def _check_real(name: str, value, within: str) -> float:
     """``value`` as a float, once it is checked to be a finite real number
-    in the range ``within`` names (see ``_RANGES``).  A bool is refused
-    first, so True is not read as 1.0; then ``math.isfinite`` raises its
-    ``TypeError`` for anything that is not a real number, such as a string,
-    so "0.5" is not read as 0.5; a value outside the range raises a
-    ``ValueError``.  Every range is finite, so NaN and the infinities never
-    pass."""
-    if isinstance(value, (bool, np.bool_)):
+    in the range ``within`` names (see ``_RANGES``).  A bool, numpy's and a
+    boolean array included, is refused first, so True is not read as 1.0;
+    then ``math.isfinite`` raises its ``TypeError`` for anything that is not
+    a real number, such as a string, so "0.5" is not read as 0.5; a value
+    outside the range raises a ``ValueError``.  Every range is finite, so
+    NaN, the infinities and an int too large for a float never pass."""
+    if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
         raise ValueError(f"{name} must be a real number, got {value!r}")
     words, holds = _RANGES[within]
-    if not (math.isfinite(value) and holds(value)):
-        raise ValueError(f"{name} must {words}, got {value!r}")
-    return float(value)
+    try:
+        if math.isfinite(value) and holds(float(value)):
+            return float(value)
+    except OverflowError:  # an int too large for a float lies in no range
+        pass
+    raise ValueError(f"{name} must {words}, got {value!r}")
 
 
 def _check_type(owner: str, value, cls: type) -> None:
@@ -384,8 +388,7 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     stream.
     """
     _check_type("simulate", spec, MixtureSpec)
-    _check_count("n", n, 1)
-    _check_count("seed", seed, 0)
+    n, seed = _check_count("n", n, 1), _check_count("seed", seed, 0)
     u = np.empty((2, n))
     delta, uncured = np.empty((2, n), dtype=bool)
     y = _draw_into(spec, seed, u, delta, uncured)

@@ -101,7 +101,7 @@ def profile_cure_loglik(fit: NpmleFit, deltas, p: float) -> float:
     maximizer, so this evaluates the profile in the cure fraction without
     re-optimizing.  Nonincreasing in p.
     """
-    _check_real("p", p, "unit")
+    p = _check_real("p", p, "unit")
     return log_lik(np.minimum(fit.fhat, 1.0 - p), deltas)
 
 
@@ -136,6 +136,5 @@ def inconsistency_probe(
     replications reuses one workspace (see ``replicate_seeds``).
     """
     _check_type("inconsistency_probe", spec, MixtureSpec)
-    _check_count("n", n, 1)
-    _check_count("seed", seed, 0)
+    n, seed = _check_count("n", n, 1), _check_count("seed", seed, 0)
     return sum(replicate_seeds(partial(_ProbeSpan, spec, n), reps, seed, workers)) / reps

@@ -6,6 +6,7 @@ import math
 import statistics
 from collections import Counter
 from concurrent.futures import Future
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -471,12 +472,92 @@ def test_simulate_and_the_probe_refuse_a_spec_of_another_type(call, owner, shown
             lambda: TabulatedQuantile((0.0, 1.0), (1.0, True)), "values", id="table-value"
         ),
         pytest.param(lambda: z_stats(_sorted_draw(), 0.5, True), "p_true", id="z-stats-p-true"),
+        pytest.param(lambda: Exponential(np.array(True)), "rate", id="rate-0-d-array"),
     ],
 )
 def test_a_bool_is_not_a_real_number(call, name):
-    # bool is a subclass of int, so True would otherwise be read as 1.0.
-    with pytest.raises(ValueError, match=rf"^{name} must be a real number, got True$"):
+    # bool is a subclass of int, so True would otherwise be read as 1.0; a
+    # 0-d boolean array would be read so too.
+    with pytest.raises(
+        ValueError, match=rf"^{name} must be a real number, got (True|array\(True\))$"
+    ):
         call()
+
+
+def _mc_bytes(spec=_SPEC, n=100, seed=0, rule=CutoffRule("undersmoothed")):
+    res = run_mc(McConfig(spec, n, 3, seed, rule))
+    return res.rep_index.tobytes() + res.z1.tobytes() + res.z2.tobytes()
+
+
+def _design(p=0.3, event_rate=2.0):
+    return MixtureSpec(p, Exponential(event_rate), Exponential(1.0))
+
+
+def _z_bytes(p_true):
+    zz = z_stats(_sorted_draw(), 1.0, p_true)
+    return np.array([zz.z1, zz.z2]).tobytes()
+
+
+def _sample_bytes(rate):
+    sample = simulate(_design(event_rate=rate), 50, 1)
+    return sample.delta.tobytes() + sample.y.tobytes()
+
+
+@pytest.mark.parametrize(
+    "run, given, plain",
+    [
+        # n at least _band.MIN_N takes the band path.
+        pytest.param(lambda n: _mc_bytes(n=n), np.int64(60_000), 60_000, id="mc-int64-n"),
+        pytest.param(
+            lambda seed: _mc_bytes(seed=seed), np.int64(2**63 - 1), 2**63 - 1, id="mc-int64-seed"
+        ),
+        pytest.param(
+            lambda p: _mc_bytes(_design(p), rule=CutoffRule("optimal")),
+            np.float32(0.3),
+            float(np.float32(0.3)),
+            id="mc-float32-p",
+        ),
+        pytest.param(
+            _z_bytes, np.float32(0.3), float(np.float32(0.3)), id="z-stats-float32-p-true"
+        ),
+        pytest.param(_sample_bytes, Fraction(1, 3), 1 / 3, id="simulate-fraction-rate"),
+        pytest.param(lambda p: _mc_bytes(_design(p)), Decimal("0.3"), 0.3, id="mc-decimal-p"),
+    ],
+)
+def test_a_numpy_scalar_or_other_real_computes_as_the_number_it_equals(run, given, plain):
+    # Each checked parameter is kept as the int or float its checker
+    # returns, so no reader sees the type it was given.
+    assert run(given) == run(plain)
+
+
+@pytest.mark.parametrize(
+    "real, count",
+    [
+        pytest.param(np.int64(1), np.int64(3), id="int64"),
+        pytest.param(np.float32(1.0), np.array(3), id="float32"),
+        pytest.param(np.array(1.0), np.uint8(3), id="0-d-array"),
+    ],
+)
+def test_each_checked_parameter_is_kept_as_an_int_or_a_float(real, count):
+    choice = CutoffChoice("x", count, real, count)
+    mc = McConfig(_SPEC, count, count, count, CutoffRule("fixed-x", x=real))
+    thinning = ThinningConfig(_SPEC, count, (1.0,), count, count)
+    reals = {
+        "Exponential.rate": Exponential(real).rate,
+        "MixtureSpec.p": MixtureSpec(real, Exponential(2.0), Exponential(1.0)).p,
+        "CutoffRule.x": CutoffRule("fixed-x", x=real).x,
+        "CutoffChoice.threshold": choice.threshold,
+    }
+    counts = {
+        "CutoffRule.tail": CutoffRule("fixed-tail", tail=count).tail,
+        "CutoffChoice.index": choice.index,
+        "CutoffChoice.guard": choice.guard,
+        **{f"McConfig.{name}": getattr(mc, name) for name in ("n", "reps", "seed")},
+        **{f"ThinningConfig.{name}": getattr(thinning, name) for name in ("n", "reps", "seed")},
+    }
+    assert {k: type(v) for k, v in reals.items()} == dict.fromkeys(reals, float)
+    assert {k: type(v) for k, v in counts.items()} == dict.fromkeys(counts, int)
+    assert list(reals.values()) == [1.0] * 4 and list(counts.values()) == [3] * 9
 
 
 @pytest.mark.parametrize(
@@ -521,6 +602,7 @@ _EDGES = {
     "-inf": -math.inf,
     "nan": math.nan,
     "5e-324": 5e-324,
+    "10**400": 10**400,  # an int too large for a float
 }
 
 
@@ -560,8 +642,9 @@ _EDGES = {
 )
 @pytest.mark.parametrize("edge", list(_EDGES))
 def test_each_range_takes_its_edges_as_documented(build, name, words, accepted, edge):
-    # Every range is finite; zero's sign does not matter, and the smallest
-    # subnormal is positive and inside (0, 1).
+    # Every range is finite, so it refuses an int too large for a float;
+    # zero's sign does not matter, and the smallest subnormal is positive
+    # and inside (0, 1).
     value = _EDGES[edge]
     if edge in accepted:
         build(value)
