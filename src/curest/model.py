@@ -217,9 +217,18 @@ def _indicators(delta, dtype) -> np.ndarray:
     A boolean array skips the check: it can only hold False and True, and
     the cast maps every byte of a boolean, even one other than 0 or 1, to 0
     or 1, as the check would have passed it.  ``simulate`` hands over its
-    boolean indicators for this reason."""
+    boolean indicators for this reason.
+
+    A one-byte integer array, such as the int8 ``delta`` of a sample, is
+    checked by the largest of its bytes read as unsigned: a negative int8
+    reads as at least 128, so that maximum is at most 1 exactly when every
+    entry is 0 or 1.  ``delta`` must be nonempty."""
     raw = np.asarray(delta)
-    if raw.dtype != bool and not ((raw == 0) | (raw == 1)).all():
+    if raw.dtype.kind in "iu" and raw.dtype.itemsize == 1:
+        ok = raw.view(np.uint8).max() <= 1
+    else:
+        ok = raw.dtype == bool or ((raw == 0) | (raw == 1)).all()
+    if not ok:
         raise ValueError("delta entries must be 0 or 1")
     return raw.astype(dtype)
 

@@ -52,21 +52,36 @@ def _as_indicator(deltas) -> np.ndarray:
 def npmle_pava(deltas) -> NpmleFit:
     """Pool adjacent violators in one left-to-right pass, linear time.
 
-    Blocks carry integer (sum, count) pairs and merge while the previous
-    block mean is >= the incoming one; the comparison is done in exact
-    integer arithmetic, and each fitted value is the single division
-    sum/count.
+    Blocks carry integer (sum, count) pairs.  The open top block lives in
+    two locals, the closed blocks below it on two lists, and their means
+    rise strictly from bottom to top.  A zero joins the top block, which
+    then pools with the closed blocks below while the one under it has a
+    mean >= its own; the comparison is done in exact integer arithmetic.
+    A one joins the top block only when that block is all ones, since a
+    mean of 1 pools with nothing else; otherwise the top block is closed
+    and a new block of that one opens.  These are the blocks a pass that
+    pushes every record as its own block and pools it at once would form,
+    and each fitted value is the single division sum/count.
     """
     d = _as_indicator(deltas)
     sums: list[int] = []
     counts: list[int] = []
+    s = c = 0
     for v in d.tolist():
-        s, c = v, 1
-        while sums and sums[-1] * c >= s * counts[-1]:
-            s += sums.pop()
-            c += counts.pop()
-        sums.append(s)
-        counts.append(c)
+        if not v:
+            c += 1
+            while sums and sums[-1] * c >= s * counts[-1]:
+                s += sums.pop()
+                c += counts.pop()
+        elif s == c:
+            s += 1
+            c += 1
+        else:
+            sums.append(s)
+            counts.append(c)
+            s = c = 1
+    sums.append(s)
+    counts.append(c)
     return NpmleFit(fhat=np.repeat(np.divide(sums, counts), counts))
 
 
@@ -137,4 +152,5 @@ def inconsistency_probe(
     """
     _check_type("inconsistency_probe", spec, MixtureSpec)
     n, seed = _check_count("n", n, 1), _check_count("seed", seed, 0)
+    reps = _check_count("reps", reps, 1)
     return sum(replicate_seeds(partial(_ProbeSpan, spec, n), reps, seed, workers)) / reps

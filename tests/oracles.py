@@ -3,13 +3,13 @@
 Everything here recomputes expected values by a route different from the
 package code: adaptive quadrature for moments, golden-section search for
 argmins, an exact dynamic program (plus a brute enumerator) for
-grid-constrained likelihood maxima, the literal max-min formula for the
-shape-constrained fit, the studentized tail statistics from their literal
-definitions on the sorted records, the guarded cut-off argmin by full-length masks, the
-closed-form frequency of the probe's saturation event, the closed-form
-chances of the thinning check's two tail cells, and boundary-crossing
-dynamic programs for the running maximum of a Bernoulli walk's means, with
-one chance for every step or one per step.
+grid-constrained likelihood maxima, the literal max-min formula and a
+record-by-record pooled pass for the shape-constrained fit, the studentized
+tail statistics from their literal definitions on the sorted records, the
+guarded cut-off argmin by full-length masks, the closed-form frequency of the
+probe's saturation event, the closed-form chances of the thinning check's two
+tail cells, and boundary-crossing dynamic programs for the running maximum of
+a Bernoulli walk's means, with one chance for every step or one per step.
 """
 
 import itertools
@@ -49,6 +49,27 @@ def maxmin_brute(deltas) -> NpmleFit:
                 best = worst
         fhat[i] = best
     return NpmleFit(fhat=fhat)
+
+
+def pava_by_record(deltas) -> NpmleFit:
+    """Pool adjacent violators record by record, the reference pass.
+
+    Every record is pushed as its own (value, 1) block, then pooled with the
+    blocks below while the one under it has a mean >= its own, by the same
+    exact integer test and the same single division sum/count as
+    ``npmle_pava``, which forms these blocks without the push and pop.
+    """
+    d = _as_indicator(deltas)
+    sums: list[int] = []
+    counts: list[int] = []
+    for v in d.tolist():
+        s, c = v, 1
+        while sums and sums[-1] * c >= s * counts[-1]:
+            s += sums.pop()
+            c += counts.pop()
+        sums.append(s)
+        counts.append(c)
+    return NpmleFit(fhat=np.repeat(np.divide(sums, counts), counts))
 
 
 def z_stats_by_definition(ss, x_n: float, p_true: float, studentization: str):

@@ -42,7 +42,7 @@ def test_pava_hand_values():
 
 def test_pava_equals_brute_exhaustively_small_n():
     # bitwise equality; both routes divide integer sums by integer counts
-    for n in range(1, 9):
+    for n in range(1, 11):
         for bits in itertools.product((0, 1), repeat=n):
             assert np.array_equal(npmle_pava(bits).fhat, maxmin_brute(bits).fhat), bits
 
@@ -76,6 +76,38 @@ def test_rejects_bad_indicators():
         # An integer cast alone would read 0.5 as 0 and fit [0, 1].
         with pytest.raises(ValueError, match="0 or 1"):
             call([0.5, 1.0])
+
+
+# One-byte integers other than 0 or 1; a negative int8 reads as at least 128
+# when its byte is read as unsigned.
+_BAD_BYTES = [
+    pytest.param(np.int8, value, id=f"int8-{value}") for value in (-128, -1, 2, 127)
+] + [pytest.param(np.uint8, value, id=f"uint8-{value}") for value in (2, 255)]
+
+
+@pytest.mark.parametrize("dtype, bad", _BAD_BYTES)
+def test_one_byte_indicators_other_than_0_or_1_are_refused(dtype, bad):
+    delta = np.array([0, 1, bad, 1], dtype=dtype)
+    for call in (
+        lambda d: CurrentStatusSample(delta=d, y=np.array([1.0, 2.0, 3.0, 4.0])),
+        npmle_pava,
+        lambda d: log_lik([0.25, 0.5, 0.5, 0.75], d),
+    ):
+        with pytest.raises(ValueError, match="^delta entries must be 0 or 1$"):
+            call(delta)
+
+
+def test_one_byte_and_boolean_indicators_fit_as_int64():
+    rng = np.random.default_rng(26)
+    for n in (1, 2, 7, 100, 1000):
+        bits = (rng.random(n) < 0.5).astype(np.int64)
+        want = npmle_pava(bits).fhat.tobytes()
+        for dtype in (np.int8, np.uint8, bool):
+            assert npmle_pava(bits.astype(dtype)).fhat.tobytes() == want, (n, dtype)
+            # All zeros and all ones pass the check too.
+            for bit in (0, 1):
+                fit = npmle_pava(np.full(n, bit, dtype=dtype))
+                assert fit.fhat.tolist() == [float(bit)] * n, (n, dtype, bit)
 
 
 def test_log_lik_hand_values():
@@ -258,6 +290,14 @@ def test_inconsistency_probe_worker_count_is_invisible():
         spec, 50, 60, seed=3, workers=2
     )
 
+
+def test_inconsistency_probe_returns_a_float_for_numpy_reps():
+    # reps is kept as the int its checker returns, so the frequency is the
+    # float that Python reps give, not a numpy scalar.
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    result = inconsistency_probe(spec, 50, np.int64(60), 3)
+    assert type(result) is float
+    assert result == inconsistency_probe(spec, 50, 60, 3)
 
 
 def test_inconsistency_probe_refuses_fractional_reps():

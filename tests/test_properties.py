@@ -52,6 +52,7 @@ from oracles import (
     conditional_running_mean_max_cdf,
     maxmin_brute,
     optimal_cutoff_hp,
+    pava_by_record,
     running_mean_max_cdf,
     select_cutoff_reference,
     z_stats_by_definition,
@@ -283,6 +284,43 @@ def test_replicate_seeds_is_the_seeded_list_comprehension(p, n, reps, seed, work
 @given(deltas=st.lists(st.integers(0, 1), min_size=1, max_size=12))
 def test_pava_equals_the_max_min_formula(deltas):
     assert npmle_pava(deltas).fhat.tobytes() == maxmin_brute(deltas).fhat.tobytes()
+
+
+@st.composite
+def indicator_sequences(draw):
+    """0/1 sequences of 1 to 2,000 records: runs of one value, each up to
+    300 records long, or independent records with one chance of a one."""
+    if draw(st.booleans()):
+        runs = draw(
+            st.lists(st.tuples(st.integers(0, 1), st.integers(1, 300)), min_size=1, max_size=30)
+        )
+        return [bit for bit, length in runs for _ in range(length)][:2000]
+    n = draw(st.integers(1, 2000))
+    chance = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random(n) < chance).astype(int).tolist()
+
+
+# The forms in which indicators reach npmle_pava.
+INDICATOR_FORMS = {
+    "int8": lambda bits: np.array(bits, dtype=np.int8),
+    "uint8": lambda bits: np.array(bits, dtype=np.uint8),
+    "bool": lambda bits: np.array(bits, dtype=bool),
+    "int64": lambda bits: np.array(bits, dtype=np.int64),
+    "float64": lambda bits: np.array(bits, dtype=np.float64),
+    "list": list,
+}
+
+
+@CASES
+@given(bits=indicator_sequences(), form=st.sampled_from(sorted(INDICATOR_FORMS)))
+@example(bits=[0] * 2000, form="int8")
+@example(bits=[1] * 2000, form="bool")
+@example(bits=[1] * 1000 + [0] * 1000, form="list")
+@example(bits=[0, 1] * 1000, form="uint8")
+def test_pava_gives_the_bytes_of_the_record_by_record_pass(bits, form):
+    fit = npmle_pava(INDICATOR_FORMS[form](bits))
+    assert fit.fhat.tobytes() == pava_by_record(bits).fhat.tobytes()
 
 
 @FEW_CASES
