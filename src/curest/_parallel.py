@@ -18,9 +18,10 @@ def chunk_spans(reps: int, workers: int) -> list[tuple[int, int]]:
     """Contiguous [start, stop) spans covering range(reps), in order: one
     span for one worker, else up to four per worker."""
     reps = _check_count("reps", reps, 1)
-    chunks = 1 if workers == 1 else max(1, min(reps, workers * 4))
+    chunks = 1 if workers == 1 else min(reps, workers * 4)
+    # chunks <= reps puts the edges at least 1 apart, so no span is empty.
     edges = [round(i * reps / chunks) for i in range(chunks + 1)]
-    return [(a, b) for a, b in zip(edges, edges[1:]) if b > a]
+    return list(zip(edges, edges[1:]))
 
 
 def map_replication_chunks(fn, args: tuple, reps: int, workers: int) -> list:

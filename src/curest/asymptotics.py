@@ -220,17 +220,13 @@ class CutoffRule:
         if self.kind == "fixed-x":
             return self.x
         if self.kind == "optimal":
-            return _optimal_cutoff(spec, n)
+            if not all(isinstance(law, Exponential) for law in (spec.event, spec.inspection)):
+                raise ValueError("optimal cut-off needs exponential event and inspection laws")
+            return theoretical_cutoff_exponential(n, spec.p, spec.event.rate, spec.inspection.rate)
         if self.kind == "undersmoothed":
             return spec.inspection.quantile(1.0 - 1.0 / math.sqrt(n))
         m = min(self.tail, n)
         return float(y[n - m])
-
-
-def _optimal_cutoff(spec: MixtureSpec, n: int) -> float:
-    if not (isinstance(spec.event, Exponential) and isinstance(spec.inspection, Exponential)):
-        raise ValueError("optimal cut-off needs exponential event and inspection laws")
-    return theoretical_cutoff_exponential(n, spec.p, spec.event.rate, spec.inspection.rate)
 
 
 @dataclass(frozen=True)
@@ -255,8 +251,7 @@ class McConfig:
         object.__setattr__(self, "n", _check_count("n", self.n, 1))
         object.__setattr__(self, "reps", _check_count("reps", self.reps, 1))
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
-        if not (0.0 < self.spec.p < 1.0):
-            raise ValueError("Monte Carlo centering needs 0 < p < 1")
+        _check_real("cure fraction p", self.spec.p, "inner")
         if self.studentization not in ("known-p", "plug-in"):
             raise ValueError("studentization must be 'known-p' or 'plug-in'")
         by_design = self.cutoff.kind != "fixed-tail"

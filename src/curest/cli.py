@@ -30,7 +30,8 @@ from .estimators import (
     trace,
 )
 from .model import (
-    Exponential, MixtureSpec, SortedSample, read_csv, simulate, write_csv, write_table,
+    Exponential, MixtureSpec, SortedSample, _check_real, read_csv, simulate, write_csv,
+    write_table,
 )
 
 _JSON_KEYS = (
@@ -51,8 +52,6 @@ def _write_json_summary(path: str, **fields) -> None:
     included, is null, since strict JSON has no NaN or infinity."""
     payload = {key: None for key in _JSON_KEYS}
     for key, value in fields.items():
-        if key not in payload:
-            raise ValueError(f"unknown summary key {key!r}")
         payload[key] = value if math.isfinite(value) else None
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
@@ -78,7 +77,7 @@ def _closed_form_flags(spec: MixtureSpec) -> str:
     """The flags to name when the optimal cut-off's closed form refuses a
     valid mixture: p at 0 or 1, else rates that put it past the largest
     float."""
-    return "--p" if not 0.0 < spec.p < 1.0 else "--f-rate/--g-rate"
+    return "--p" if spec.p in (0.0, 1.0) else "--f-rate/--g-rate"
 
 
 def cmd_simulate(args) -> int:
@@ -131,9 +130,13 @@ def cmd_cv(args) -> int:
 
 def cmd_estimate(args) -> int:
     parser = args.parser
-    if not 0.0 < args.alpha < 1.0:
-        parser.error("--alpha must lie strictly inside (0, 1)")
-    # A flag the method does not use is refused, not silently ignored.
+    alpha = _checked(args, "--alpha", _check_real, "alpha", args.alpha, "inner")
+    # Up to 2**-53, 1 - alpha/2 rounds to 1, which has no normal quantile.
+    if alpha <= 2.0**-53:
+        parser.error(f"--alpha: alpha must exceed 2**-53, got {alpha!r}")
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    # A flag the method does not use is refused, not silently ignored, and
+    # one it uses must be given.
     uses = {
         "fixed-index": ("--index",),
         "fixed-quantile": ("--quantile",),
@@ -146,15 +149,12 @@ def cmd_estimate(args) -> int:
     for flag, value in given.items():
         if flag not in uses and value is not None:
             parser.error(f"--method {args.method} takes no {flag}")
-    if args.method == "fixed-index" and args.index is None:
-        parser.error("--method fixed-index needs --index")
-    if args.method == "fixed-quantile" and (
-        args.quantile is None or not 0.0 < args.quantile < 1.0
-    ):
-        parser.error("--method fixed-quantile needs --quantile in (0, 1)")
+    missing = [flag for flag in uses if given[flag] is None]
+    if missing:
+        parser.error(f"--method {args.method} needs {', '.join(missing)}")
+    if args.method == "fixed-quantile":
+        q = _checked(args, "--quantile", _check_real, "quantile", args.quantile, "inner")
     if args.method == "theoretical-exp":
-        if args.p is None or args.f_rate is None or args.g_rate is None:
-            parser.error("--method theoretical-exp needs --p, --f-rate and --g-rate")
         spec = _mixture(args)
 
     ss = SortedSample(read_csv(args.data))
@@ -171,7 +171,7 @@ def cmd_estimate(args) -> int:
         elif args.method == "fixed-quantile":
             # For 0 < q < 1 the product is positive and rounds to at most n,
             # so the position lies in 1..n.
-            pos = math.ceil(args.quantile * tr.n)
+            pos = math.ceil(q * tr.n)
         else:
             print(
                 "warning: theoretical-exp uses the oracle design parameters "
@@ -185,7 +185,6 @@ def cmd_estimate(args) -> int:
         choice = choice_at_index(tr, pos, method=args.method, guard=guard)
 
     est = estimate_cure(tr, choice)
-    z = NormalDist().inv_cdf(1.0 - args.alpha / 2.0)
     center = 1.0 - est.p_hat1
     half = z * math.sqrt(est.p_hat1 * (1.0 - est.p_hat1)) / math.sqrt(est.tail_count)
     ci_lo = max(0.0, center - half)
@@ -197,7 +196,7 @@ def cmd_estimate(args) -> int:
         f"threshold={est.threshold:.6g} tail_count={est.tail_count}"
     )
     print(f"p_hat1={est.p_hat1:.6g} p_hat2={est.p_hat2:.6g}")
-    print(f"event_fraction_ci=[{ci_lo:.6g}, {ci_hi:.6g}] level={1.0 - args.alpha:g}")
+    print(f"event_fraction_ci=[{ci_lo:.6g}, {ci_hi:.6g}] level={1.0 - alpha:g}")
     if args.json_summary:
         _write_json_summary(
             args.json_summary,

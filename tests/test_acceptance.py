@@ -28,6 +28,7 @@ from curest import (
     Exponential,
     McConfig,
     MixtureSpec,
+    SortedSample,
     cv_m1_curve,
     cv_m2_curve,
     estimate_cure,
@@ -40,7 +41,6 @@ from curest import (
     run_mc,
     select_cutoff,
     simulate,
-    sort_with_concomitants,
     theoretical_cutoff_exponential,
     theoretical_mn,
     ThinningConfig,
@@ -243,10 +243,10 @@ def bernoulli_tail_z2(cfg):
     p = cfg.spec.p
     z2 = np.empty(cfg.reps)
     for k in range(cfg.reps):
-        ss = sort_with_concomitants(simulate(cfg.spec, cfg.n, cfg.seed + k))
+        ss = SortedSample(simulate(cfg.spec, cfg.n, cfg.seed + k))
         rng = np.random.default_rng(cfg.seed + k).spawn(1)[0]
         delta = (rng.random(cfg.n) < 1.0 - p).astype(np.int8)
-        bernoulli = sort_with_concomitants(CurrentStatusSample(delta=delta, y=ss.y))
+        bernoulli = SortedSample(CurrentStatusSample(delta=delta, y=ss.y))
         z2[k] = z_stats(bernoulli, cfg.cutoff.x, p_true=p, studentization=cfg.studentization).z2
     return z2
 
@@ -328,7 +328,7 @@ def test_criterion_09_running_max_consistency_at_sqrt_n_tail():
     m = math.ceil(math.sqrt(n))
     hits = 0
     for k in range(200):
-        ss = sort_with_concomitants(simulate(DESIGN, n, 31_000 + k))
+        ss = SortedSample(simulate(DESIGN, n, 31_000 + k))
         tr = trace(ss)
         entry = int(np.searchsorted(tr.index, n - m + 1, side="right")) - 1
         hits += abs(float(tr.p2[entry]) - 0.7) <= 0.05
@@ -372,7 +372,7 @@ def test_criterion_11_cv_selection_lands_in_band():
     idx = {"m1": [], "m2": []}
     sel = {"m1": [], "m2": []}
     for k in range(500):
-        ss = sort_with_concomitants(simulate(DESIGN, 100, 500_000 + k))
+        ss = SortedSample(simulate(DESIGN, 100, 500_000 + k))
         tr = trace(ss)
         try:
             choices = {

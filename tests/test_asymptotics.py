@@ -20,12 +20,12 @@ from curest import (
     Exponential,
     McConfig,
     MixtureSpec,
+    SortedSample,
     TabulatedQuantile,
     half_normal_cdf,
     ks_distance,
     run_mc,
     simulate,
-    sort_with_concomitants,
     std_normal_cdf,
     ThinningConfig,
     choice_at_index,
@@ -50,7 +50,7 @@ def sorted_toy(deltas, ys=None):
     deltas = np.asarray(deltas)
     if ys is None:
         ys = np.arange(1.0, deltas.size + 1.0)
-    return sort_with_concomitants(CurrentStatusSample(delta=deltas, y=np.asarray(ys)))
+    return SortedSample(CurrentStatusSample(delta=deltas, y=np.asarray(ys)))
 
 
 def test_z_stats_balanced_tail_is_zero():
@@ -76,7 +76,7 @@ def test_z2_dominates_z1():
     rng = np.random.default_rng(123)
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     for seed in range(15):
-        ss = sort_with_concomitants(simulate(spec, 120, seed=seed))
+        ss = SortedSample(simulate(spec, 120, seed=seed))
         x = float(rng.uniform(0.0, ss.y[-1]))
         zz = z_stats(ss, x, p_true=0.3)
         assert zz.z2 >= zz.z1
@@ -187,7 +187,7 @@ def test_run_mc_single_replication_matches_z_stats():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     cfg = McConfig(spec=spec, n=200, reps=1, seed=17, cutoff=CutoffRule(kind="fixed-x", x=1.0))
     res = run_mc(cfg)
-    ss = sort_with_concomitants(simulate(spec, 200, seed=17))
+    ss = SortedSample(simulate(spec, 200, seed=17))
     zz = z_stats(ss, 1.0, p_true=0.3)
     assert res.retained == 1 and res.skipped == 0
     assert res.z1[0] == zz.z1 and res.z2[0] == zz.z2
@@ -251,7 +251,7 @@ def test_cutoff_rule_validation_and_resolution():
         with pytest.raises(ValueError, match=f"{kind} rule takes no {unused}"):
             CutoffRule(kind=kind, **fields)
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    ss = sort_with_concomitants(simulate(spec, 100, seed=1))
+    ss = SortedSample(simulate(spec, 100, seed=1))
     under = CutoffRule(kind="undersmoothed").resolve(spec, ss)
     assert under == pytest.approx(spec.inspection.quantile(1.0 - 0.1), rel=1e-12)
     tail_rule = CutoffRule(kind="fixed-tail", tail=10)
@@ -275,6 +275,14 @@ def test_mc_config_validation():
     )
     with pytest.raises(ValueError, match="optimal cut-off needs exponential"):
         McConfig(spec=mixed, n=10, reps=5, seed=0, cutoff=CutoffRule(kind="optimal"))
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_mc_config_refuses_p_at_0_or_1_by_the_one_checker(p):
+    spec = MixtureSpec(p=p, event=Exponential(2.0), inspection=Exponential(1.0))
+    refused = rf"^cure fraction p must lie strictly inside \(0, 1\), got {p!r}$"
+    with pytest.raises(ValueError, match=refused):
+        McConfig(spec, 10, 5, 0, CutoffRule(kind="fixed-x", x=1.0))
 
 
 def test_mc_config_refuses_an_unknown_studentization():
@@ -377,7 +385,7 @@ _SPEC = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
 
 
 def _sorted_draw():
-    return sort_with_concomitants(simulate(_SPEC, 50, 0))
+    return SortedSample(simulate(_SPEC, 50, 0))
 
 
 @pytest.mark.parametrize(

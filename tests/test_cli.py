@@ -22,8 +22,8 @@ import pytest
 
 import curest
 from curest import asymptotics, cli, estimators
-from curest import read_csv, simulate, sort_with_concomitants, write_csv, z_stats
-from curest import Exponential, MixtureSpec
+from curest import read_csv, simulate, write_csv, z_stats
+from curest import Exponential, MixtureSpec, SortedSample
 
 JSON_KEYS = {
     "pHat1",
@@ -336,16 +336,59 @@ def test_fixed_quantile_is_fixed_index_at_the_quantile_position(tmp_path, tied, 
     assert summaries[0] == summaries[1]
 
 
-@pytest.mark.parametrize("alpha", ["0", "1", "nan"])
+@pytest.mark.parametrize("alpha", ["0", "1", "nan", "1e-17", repr(2.0**-53)])
 def test_estimate_alpha_outside_the_unit_interval_is_usage_error(tmp_path, alpha):
     # The data path does not exist: exit 2, not 3, shows that --alpha is
-    # checked before the data are read.
+    # checked before the data are read.  Up to 2**-53, 1 - alpha/2 rounds to
+    # 1, which has no normal quantile.
     res = run_cli(
         "estimate", "--data", str(tmp_path / "absent.csv"), "--method", "cv-m2",
         "--alpha", alpha,
     )
     assert res.returncode == 2
-    assert res.stderr.splitlines()[-1].endswith("--alpha must lie strictly inside (0, 1)")
+    bound = "exceed 2**-53" if 0.0 < float(alpha) < 1.0 else "lie strictly inside (0, 1)"
+    assert res.stderr.splitlines()[-1].endswith(
+        f"--alpha: alpha must {bound}, got {float(alpha)!r}"
+    )
+
+
+def test_the_least_alpha_above_two_to_the_minus_53_gives_an_interval(tmp_path):
+    # 128 events in a tail of 256: the upper end lies z / 32 above 1/2, and
+    # 1 - alpha/2 rounds to 1 - 2**-53.
+    data = tmp_path / "half.csv"
+    write_toy(data, [(i % 2, float(i)) for i in range(1, 257)])
+    summary = tmp_path / "est.json"
+    res = run_cli(
+        "estimate", "--data", str(data), "--method", "fixed-index", "--index", "1",
+        "--alpha", repr(math.nextafter(2.0**-53, 1.0)), "--json-summary", str(summary),
+    )
+    assert res.returncode == 0, res.stderr
+    z = 32 * (json.loads(summary.read_text())["ciHi"] - 0.5)
+    assert z == pytest.approx(8.2095, abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["fixed-quantile", "--quantile", "1.5"], "--quantile: quantile must lie strictly inside"
+         " (0, 1), got 1.5"),
+        (["fixed-quantile", "--quantile", "nan"], "--quantile: quantile must lie strictly inside"
+         " (0, 1), got nan"),
+        (["fixed-quantile"], "--method fixed-quantile needs --quantile"),
+        (["fixed-index"], "--method fixed-index needs --index"),
+        (["theoretical-exp"], "--method theoretical-exp needs --p, --f-rate, --g-rate"),
+        (["theoretical-exp", "--p", "0.3"], "--method theoretical-exp needs --f-rate, --g-rate"),
+        (["theoretical-exp", "--p", "0.3", "--g-rate", "1"], "theoretical-exp needs --f-rate"),
+    ],
+)
+def test_estimate_method_flags_are_checked_before_the_data_are_read(
+    tmp_path, flags, message
+):
+    # The data path does not exist: exit 2, not 3; a missing-flag error names
+    # only the flags that are missing.
+    res = run_cli("estimate", "--data", str(tmp_path / "absent.csv"), "--method", *flags)
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1].endswith(message)
 
 
 @pytest.mark.parametrize("flag, value", [("--n", "2.5"), ("--reps", "x")])
@@ -478,7 +521,7 @@ def test_mc_single_rep_matches_library(tmp_path):
     assert res.returncode == 0
     row = read_rows(out)[0]
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    zz = z_stats(sort_with_concomitants(simulate(spec, 200, seed=17)), 1.0, p_true=0.3)
+    zz = z_stats(SortedSample(simulate(spec, 200, seed=17)), 1.0, p_true=0.3)
     assert float(row["z1"]) == zz.z1
     assert float(row["z2"]) == zz.z2
 
@@ -495,6 +538,18 @@ def test_mc_flag_validation(tmp_path):
         "--n", "100", "--reps", "5", "--out", str(tmp_path / "x.csv"),
     )
     assert res.returncode == 2 and "--p" in res.stderr
+
+
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_mc_p_at_0_or_1_is_usage_error(tmp_path, p):
+    res = run_cli(
+        "mc", "--p", p, "--f-rate", "2", "--g-rate", "1", "--n", "100", "--reps", "5",
+        "--cutoff", "fixed-x", "--cutoff-x", "1", "--out", str(tmp_path / "x.csv"),
+    )
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1].endswith(
+        f"--p: cure fraction p must lie strictly inside (0, 1), got {float(p)!r}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -627,7 +682,7 @@ def test_cli_outputs_reparse_losslessly(tmp_path):
     trace_out = tmp_path / "trace.csv"
     run_cli("trace", "--data", str(data), "--out", str(trace_out))
     rows = read_rows(trace_out)
-    ss = sort_with_concomitants(sample)
+    ss = SortedSample(sample)
     # every float written with 17 significant digits comes back bitwise
     got_y = np.array([float(r["y"]) for r in rows])
     assert np.array_equal(np.unique(ss.y), got_y)

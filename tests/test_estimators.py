@@ -13,6 +13,7 @@ from curest import (
     EstimatorTrace,
     Exponential,
     MixtureSpec,
+    SortedSample,
     TabulatedQuantile,
     choice_at_index,
     cv_m1_curve,
@@ -22,7 +23,6 @@ from curest import (
     plug_ins,
     select_cutoff,
     simulate,
-    sort_with_concomitants,
     theoretical_cutoff_exponential,
     theoretical_mn,
     trace,
@@ -41,7 +41,7 @@ def sorted_toy(deltas, ys=None):
     deltas = np.asarray(deltas)
     if ys is None:
         ys = np.arange(1.0, deltas.size + 1.0)
-    return sort_with_concomitants(CurrentStatusSample(delta=deltas, y=np.asarray(ys)))
+    return SortedSample(CurrentStatusSample(delta=deltas, y=np.asarray(ys)))
 
 
 def test_trace_hand_values():
@@ -76,7 +76,7 @@ def test_trace_running_max_dominates_and_matches_fit_terminal():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     for seed in range(10):
         sample = simulate(spec, 150, seed=seed)
-        ss = sort_with_concomitants(sample)
+        ss = SortedSample(sample)
         tr = trace(ss)
         assert np.all(tr.p2 >= tr.p1)
         assert np.all(np.diff(tr.p2) >= 0.0)
@@ -165,7 +165,7 @@ def study_sample():
     """100 records inspected at three scheduled visits, so with ties."""
     visits = TabulatedQuantile((0.0, 0.4, 0.4, 0.8, 0.8, 1.0), (1.0, 1.0, 2.0, 2.0, 3.0, 3.0))
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=visits)
-    return sort_with_concomitants(simulate(spec, 100, 7))
+    return SortedSample(simulate(spec, 100, 7))
 
 
 def test_trace_is_built_once_per_sample():

@@ -10,12 +10,12 @@ from curest import (
     CurrentStatusSample,
     Exponential,
     MixtureSpec,
+    SortedSample,
     inconsistency_probe,
     log_lik,
     npmle_cure_argmax_interval,
     npmle_pava,
     profile_cure_loglik,
-    sort_with_concomitants,
     trace,
 )
 
@@ -212,7 +212,7 @@ def test_tied_thresholds_pooled_fit_beats_grid_oracle():
     # pooled max-min over tie groups must beat any tie-constant grid vector
     delta = np.array([0, 1, 1, 0, 1, 1])
     y = np.array([1.0, 1.0, 2.0, 2.0, 2.0, 3.0])
-    ss = sort_with_concomitants(CurrentStatusSample(delta=delta, y=y))
+    ss = SortedSample(CurrentStatusSample(delta=delta, y=y))
     pooled = np.array([0.5, 0.5, 2 / 3, 2 / 3, 2 / 3, 1.0])  # group max-min by hand
     lik_pooled = log_lik(pooled, ss.delta)
     assert abs(lik_pooled - (-3.295836866004329)) <= 1e-12
@@ -334,7 +334,7 @@ def test_npmle_does_not_depend_on_record_order_within_ties():
     y = [1.0, 2.0, 2.0]
     his = [
         npmle_cure_argmax_interval(
-            npmle_pava(sort_with_concomitants(CurrentStatusSample(delta=delta, y=y)).delta)
+            npmle_pava(SortedSample(CurrentStatusSample(delta=delta, y=y)).delta)
         ).hi
         for delta in ([1, 0, 1], [1, 1, 0])
     ]

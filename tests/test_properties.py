@@ -35,14 +35,13 @@ from curest import (
     run_mc,
     select_cutoff,
     simulate,
-    sort_with_concomitants,
     theoretical_cutoff_exponential,
     thinning_check,
     trace,
     write_csv,
     z_stats,
 )
-from curest import _band, _parallel
+from curest import _band
 from curest._parallel import chunk_spans, replicate_seeds
 from curest.asymptotics import _McSpan, _tail_pair, _z_pair
 from curest.model import _Draws, _sort_records
@@ -105,7 +104,7 @@ def large_samples(draw):
 
 def sorted_sample(records):
     delta, y = zip(*records)
-    return sort_with_concomitants(CurrentStatusSample(delta=np.array(delta), y=np.array(y)))
+    return SortedSample(CurrentStatusSample(delta=np.array(delta), y=np.array(y)))
 
 
 def derived(ss):
@@ -177,7 +176,7 @@ def test_select_cutoff_equals_the_mask_based_reference(records):
 
 
 @CASES
-@given(reps=st.integers(1, 500), workers=st.integers(1, 64))
+@given(reps=st.integers(1, 500), workers=st.integers(1, 10**4))
 def test_chunk_spans_split_the_replications_in_order(reps, workers):
     spans = chunk_spans(reps, workers)
     assert spans[0][0] == 0 and spans[-1][1] == reps
@@ -215,7 +214,7 @@ def test_the_pool_has_no_more_workers_than_chunks(monkeypatch):
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    assert _parallel.map_replication_chunks(max, (), 2, 64) == [1, 2]
+    assert replicate_seeds(lambda: str, 2, 5, workers=64) == ["5", "6"]
     assert asked == [2]
 
 
@@ -344,7 +343,7 @@ def test_csv_round_trip_reproduces_the_bytes(records):
 
 def assert_stable_argsort_bytes(sample):
     order = np.argsort(sample.y, kind="stable")
-    ss = sort_with_concomitants(sample)
+    ss = SortedSample(sample)
     assert ss.y.tobytes() == sample.y[order].tobytes()
     assert ss.delta.tobytes() == sample.delta[order].tobytes()
     opens = np.concatenate([[0], np.flatnonzero(np.diff(sample.y[order]) != 0) + 1])
@@ -368,7 +367,7 @@ def test_sort_of_a_large_simulated_sample_gives_the_bytes_of_a_stable_argsort():
 
 @CASES
 @given(
-    sample=st.one_of(samples.map(sorted_sample), large_samples().map(sort_with_concomitants)),
+    sample=st.one_of(samples.map(sorted_sample), large_samples().map(SortedSample)),
     where=st.sampled_from(["below", "on", "between", "above"]),
     data=st.data(),
 )
@@ -393,7 +392,7 @@ def test_tail_start_opens_the_tail_of_its_threshold(sample, where, data):
 
 @CASES
 @given(
-    sample=st.one_of(samples.map(sorted_sample), large_samples().map(sort_with_concomitants)),
+    sample=st.one_of(samples.map(sorted_sample), large_samples().map(SortedSample)),
     where=st.sampled_from(["below", "on", "between", "top"]),
     data=st.data(),
 )
@@ -423,7 +422,7 @@ def test_z_stats_equals_the_statistics_by_definition(sample, where, data):
     sample=st.one_of(
         samples.map(sorted_sample),
         untied_samples.map(sorted_sample),
-        large_samples().map(sort_with_concomitants),
+        large_samples().map(SortedSample),
     ),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -815,7 +814,7 @@ def public_thinning(config, thresholds):
     tail at each threshold is read off the sorted sample."""
     rows = []
     for k in range(config.reps):
-        ss = sort_with_concomitants(simulate(config.spec, config.n, config.seed + k))
+        ss = SortedSample(simulate(config.spec, config.n, config.seed + k))
         row = []
         for x in thresholds:
             i = int(np.searchsorted(ss.y, x, side="left"))
@@ -863,6 +862,6 @@ def test_inconsistency_probe_equals_the_public_per_sample_chain(
     # Each replication's indicator is the last one after the stable sort.
     spec = MC_DESIGNS[design](p)
     chain = [simulate(spec, n, seed + k) for k in range(reps)]
-    want = [int(sort_with_concomitants(sample).delta[-1]) for sample in chain]
+    want = [int(SortedSample(sample).delta[-1]) for sample in chain]
     assert replicate_seeds(partial(_ProbeSpan, spec, n), reps, seed, workers) == want
     assert inconsistency_probe(spec, n, reps, seed, workers) == sum(want) / reps
