@@ -29,12 +29,10 @@ def _bits(x: float) -> int:
     return int(np.float64(x).view(np.int64))
 
 
-def buckets(law, n: int, x: float | None) -> tuple[float, int] | None:
-    """How to bucket ``n`` records drawn from the inspection law ``law``
-    for the cut-off ``x`` (None when a fixed tail sets it), or None where
-    the band does not pay: below ``MIN_N`` records, on a law with atoms,
-    whose ties widen the band, or for a cut-off that is not a finite
-    nonnegative time, which has no bucket.
+def buckets(law, n: int) -> tuple[float, int] | None:
+    """How to bucket ``n`` records drawn from the inspection law ``law``,
+    or None where the band does not pay: below ``MIN_N`` records, or on a
+    law with atoms, whose ties widen the band.
 
     A record's bucket is the bits of y + ``origin``, less those of
     ``origin``, shifted right by ``shift``.  The origin is a power of two
@@ -45,8 +43,6 @@ def buckets(law, n: int, x: float | None) -> tuple[float, int] | None:
     takes the whole sample too."""
     if n < MIN_N or law._atoms:
         return None
-    if x is not None and not (math.isfinite(x) and x >= 0):
-        return None
     origin = math.ldexp(1.0, min(math.frexp(law.quantile(0.5))[1], 1023))
     if not law.quantile(_BELOW_ONE) < math.ldexp(origin, _BINADES):
         return None
@@ -55,14 +51,15 @@ def buckets(law, n: int, x: float | None) -> tuple[float, int] | None:
 
 def gather(y, delta, free, scratch, x: float | None, tail: int | None, origin: float, shift: int):
     """Gather the band of the records ``(y, delta)`` into the start of the
-    free row of n doubles ``free`` (times) and of the boolean ``scratch``
-    (indicators), and return ``(size, n, beyond, floor)``: the band's count
-    of records, the count n of records from the band's start on, the ones
-    above the band, and a lower bound of p2.  ``_tail_pair`` on the sorted
-    band, told of n and of the ``beyond`` ones, gives p1 and a p2 that,
-    raised to ``floor``, is the p2 of the whole sample.  The cut-off is
-    ``x``, or the time of the ``tail``-th largest record when ``x`` is
-    None.  None when no record reaches ``x``.
+    free row of n doubles ``free`` (times) and of ``delta`` (indicators),
+    with the boolean ``scratch`` as the mask, and return ``(size, n,
+    beyond, floor)``: the band's count of records, the count n of records
+    from the band's start on, the ones above the band, and a lower bound of
+    p2.  ``_tail_pair`` on the sorted band, told of n and of the ``beyond``
+    ones, gives p1 and a p2 that, raised to ``floor``, is the p2 of the
+    whole sample.  The cut-off is ``x``, a time that ``McConfig`` checked,
+    or that of the ``tail``-th largest record when ``x`` is None.  None
+    when no record reaches ``x``.
 
     A record's id is twice its bucket (see ``buckets``) plus its
     indicator, and one ``bincount`` of the ids gives each bucket b its
@@ -126,5 +123,6 @@ def gather(y, delta, free, scratch, x: float | None, tail: int | None, origin: f
     np.subtract(ids, 2 * s, out=ids)
     picked = np.less(ids, 2 * (c + 1 - s), out=scratch).nonzero()[0]
     y.take(picked, out=free[:size], mode="clip")
-    delta.take(picked, out=scratch[:size], mode="clip")
+    # numpy buffers an output that overlaps its input.
+    delta.take(picked, out=delta[:size], mode="clip")
     return size, int(rec[s]), int(ones[c + 1]), floor

@@ -60,6 +60,12 @@ def half_normal_cdf(x):
 
 
 _REFERENCES = {"std-normal": std_normal_cdf, "half-normal": half_normal_cdf}
+_STUDENTIZATIONS = ("known-p", "plug-in")
+
+
+def _check_studentization(name) -> None:
+    if name not in _STUDENTIZATIONS:
+        raise ValueError(f"studentization must be one of {_STUDENTIZATIONS}, got {name!r}")
 
 
 def ks_distance(samples, reference: str) -> float:
@@ -99,8 +105,7 @@ def z_stats(
     from the positions of the ones (see ``_tail_pair``) without building
     the trace.
     """
-    if studentization not in ("known-p", "plug-in"):
-        raise ValueError(f"studentization must be 'known-p' or 'plug-in', got {studentization!r}")
+    _check_studentization(studentization)
     p_true = _check_real("p_true", p_true, "inner")
     i = ss.tail_start(_check_real("cut-off", x_n, "nonnegative"))
     n, starts = ss.n, ss.group_start
@@ -122,10 +127,10 @@ def _tail_pair(
     opening, of ``n`` sorted records whose ones sit at the ascending
     positions ``ones``; ``starts`` holds the tie-group openings, or is None
     when the records are untied.  A caller that calls often passes the
-    doubles n, n - 1, ..., 1 as ``ramp`` and room for n doubles as ``out``;
-    without them, a call allocates two arrays as long as the ones below i.
-    A caller that holds only the bottom of the records passes the count of
-    ones above them as ``beyond``; those lie past i.
+    doubles N, N - 1, ..., 1 for an N >= n as ``ramp`` and room for n
+    doubles as ``out``; without them, a call allocates two arrays as long
+    as the ones below i.  A caller that holds only the bottom of the
+    records passes the count of ones above them as ``beyond``, past i.
 
     Of the k ones, j lie below i, so p1 = (k - j) / (n - i).  p2 is the
     largest tail mean at an opening up to i.  An opening whose group holds
@@ -148,7 +153,7 @@ def _tail_pair(
         below = starts[starts.searchsorted(below, "right") - 1]
     means = np.empty(j) if out is None else out[:j]
     np.subtract(n, below, out=means)
-    counts = np.arange(k, k - j, -1.0) if ramp is None else ramp[n - k : n - k + j]
+    counts = np.arange(k, k - j, -1.0) if ramp is None else ramp[ramp.size - k :][:j]
     np.divide(counts, means, out=means)
     return p1, max(p1, float(means.max()))
 
@@ -234,8 +239,8 @@ class McConfig:
     """Replicated-run description; replication k uses seed ``seed + k``.
 
     A cut-off that the design and n set (every kind but ``fixed-tail``) is
-    resolved here, once, so a design it refuses is refused before any
-    replication runs, and the replications read the kept value.
+    resolved and checked here, once, so a design it refuses is refused
+    before any replication runs, and the replications read the kept value.
     """
 
     spec: MixtureSpec
@@ -252,10 +257,10 @@ class McConfig:
         object.__setattr__(self, "reps", _check_count("reps", self.reps, 1))
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
         _check_real("cure fraction p", self.spec.p, "inner")
-        if self.studentization not in ("known-p", "plug-in"):
-            raise ValueError("studentization must be 'known-p' or 'plug-in'")
-        by_design = self.cutoff.kind != "fixed-tail"
-        x_n = self.cutoff._threshold(self.spec, self.n, None) if by_design else None
+        _check_studentization(self.studentization)
+        rule, x_n = self.cutoff, None
+        if rule.kind != "fixed-tail":
+            x_n = _check_real("cut-off", rule._threshold(self.spec, self.n, None), "nonnegative")
         object.__setattr__(self, "_x_n", x_n)
 
 
@@ -293,7 +298,8 @@ class _McSpan(_Draws):
     The buffers are allocated once per span and reused by every
     replication: the draw's ``(2, n)`` block, the indicators, the draw's
     scratch and the counts n, n - 1, ..., 1; that is 3.25 doubles per
-    record.  Once the indicators are drawn, row 0's event times are free,
+    record.  A replication runs four kernels on them: draw, band, sort and
+    tail.  Once the indicators are drawn, row 0's event times are free,
     and ``_sort_records`` sorts the records there, with the indicators in
     their own bytes and the tie-group marks in the scratch; row 1's
     unsorted times are free by then and take the tail means at the ones
@@ -302,15 +308,13 @@ class _McSpan(_Draws):
     long as the band or the count of buckets.  It takes the steps of
     ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
     on the same kernels, so its (z1, z2) are the same doubles.  It reads
-    the threshold that ``McConfig`` resolved, and resolves one per
-    replication only for ``fixed-tail``, the one kind that reads the
-    sample.
+    the threshold that ``McConfig`` resolved and checked, and reads one
+    off the sorted times only for ``fixed-tail``.
 
     At large n it sorts only the band of the records that can set p2
-    (``_band.gather``, whose docstring holds the proof): the buckets' ids
-    go to row 0, the band's times are then gathered there and its
-    indicators into the scratch, and the band is sorted in place, so the
-    workspace does not grow.  The records above the band are only counted,
+    (``_band.gather``, whose docstring holds the proof): the band's times
+    and indicators are gathered to the front of row 0 and of their own
+    bytes, and sorted there.  The records above the band are only counted,
     and p2 is the larger of the band's p2 and the floor that the count
     proves.  There n counts the records from the band's start, so the tail
     is empty, and the replication skipped, only when the band reaches the
@@ -321,31 +325,29 @@ class _McSpan(_Draws):
         super().__init__(config.spec, config.n)
         self.config = config
         self.ramp = np.arange(config.n, 0.0, -1.0)
-        self.buckets = _band.buckets(config.spec.inspection, config.n, config._x_n)
+        self.buckets = _band.buckets(config.spec.inspection, config.n)
 
     def __call__(self, seed: int) -> tuple[float, float] | None:
         config, opens, bits = self.config, self.scratch, self.delta
         y = self.draw(seed)
-        x = config._x_n
         ys, means = self.u
-        marks, ramp, n, beyond, floor = bits, self.ramp, config.n, 0, 0.0
+        x, n, beyond, floor = config._x_n, config.n, 0, 0.0
         if self.buckets is not None:
             band = _band.gather(y, bits, ys, opens, x, config.cutoff.tail, *self.buckets)
             if band is None:
                 return None
-            # The band's times and indicators start row 0 and the scratch.
+            # The band's times start row 0, and its indicators their own bytes.
             size, n, beyond, floor = band
             y = ys = ys[:size]
-            bits, marks = bits[:size], opens[:size]
-            opens, ramp = marks, ramp[ramp.size - n :]
-        untied = _sort_records(y, marks, ys, bits, opens)
+            bits, opens = bits[:size], opens[:size]
+        untied = _sort_records(y, bits, ys, bits, opens)
         if x is None:
             x = config.cutoff._threshold(config.spec, n, ys)
-        i = _tail_start(ys, _check_real("cut-off", x, "nonnegative"))
+        i = _tail_start(ys, x)
         if i == n:
             return None
         starts = None if untied else opens.nonzero()[0]
-        p1, p2 = _tail_pair(bits.nonzero()[0], n, i, starts, ramp, means, beyond)
+        p1, p2 = _tail_pair(bits.nonzero()[0], n, i, starts, self.ramp, means, beyond)
         return _z_pair(p1, max(p2, floor), n - i, config.spec.p, config.studentization)
 
 

@@ -20,7 +20,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .asymptotics import CutoffRule, McConfig, ThinningConfig, run_mc, thinning_check
+from .asymptotics import (
+    _STUDENTIZATIONS, CutoffRule, McConfig, ThinningConfig, run_mc, thinning_check,
+)
 from .estimators import (
     choice_at_index,
     cv_m1_curve,
@@ -378,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_mc.add_argument("--cutoff-x", type=float, help="threshold for --cutoff fixed-x only")
     p_mc.add_argument("--tail-count", type=_count, help="tail size for --cutoff fixed-tail only")
-    p_mc.add_argument(
-        "--studentization", choices=("known-p", "plug-in"), default="known-p"
-    )
+    p_mc.add_argument("--studentization", choices=_STUDENTIZATIONS, default="known-p")
     p_mc.add_argument("--out", required=True, help="output CSV path (rep,z1,z2)")
     p_mc.add_argument("--json-summary", help="write machine-readable summary JSON here")
     p_mc.set_defaults(func=cmd_mc)

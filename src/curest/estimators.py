@@ -297,7 +297,7 @@ def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
     """Theoretical MSE profile of the tail average for exponential designs:
     p(1-p)/n * exp(mu x) + ((1-p) mu / (lam + mu))^2 * exp(-2 lam x)
     with lam the event rate and mu the inspection rate."""
-    n, p = _check_count("n", n, 1), _check_real("p", p, "unit")
+    n, p = _check_count("n", n, 1), _check_real("cure fraction p", p, "unit")
     lam = _check_real("event rate", event_rate, "positive")
     mu = _check_real("inspection rate", inspect_rate, "positive")
     x = np.asarray(x, dtype=float)
@@ -327,7 +327,7 @@ def theoretical_cutoff_exponential(
     n^(2 lam / (mu + 2 lam)).  Beyond ordinary magnitudes the same formula
     is taken in logs, and a cut-off past the largest float is refused.
     """
-    p, n = _check_real("p", p, "inner"), _check_count("n", n, 1)
+    p, n = _check_real("cure fraction p", p, "inner"), _check_count("n", n, 1)
     lam = _check_real("event rate", event_rate, "positive")
     mu = _check_real("inspection rate", inspect_rate, "positive")
     if all(_PLAIN_LO < v < _PLAIN_HI for v in (lam, mu, p, n)):

@@ -318,8 +318,7 @@ def _sort_records(y, delta, y_sorted, bits, opens) -> bool:
     preallocated ``y_sorted`` (times), ``bits`` (indicators, bytes of 0 or
     1) and ``opens`` (the first record of each tie group marked); return
     whether the times are untied.  ``y_sorted`` may be ``y``'s own buffer,
-    and ``bits`` or ``opens`` ``delta``'s.  This is the one place that
-    knows the packed keys.
+    and ``bits`` may be ``delta``'s.  This is the one place that knows the keys.
 
     Each record is packed into one 64-bit key in ``y_sorted``'s bytes, the
     bits of ``y`` shifted up one place with ``delta`` in the freed lowest

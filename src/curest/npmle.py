@@ -116,7 +116,7 @@ def profile_cure_loglik(fit: NpmleFit, deltas, p: float) -> float:
     maximizer, so this evaluates the profile in the cure fraction without
     re-optimizing.  Nonincreasing in p.
     """
-    p = _check_real("p", p, "unit")
+    p = _check_real("cure fraction p", p, "unit")
     return log_lik(np.minimum(fit.fhat, 1.0 - p), deltas)
 
 

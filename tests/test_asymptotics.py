@@ -285,10 +285,21 @@ def test_mc_config_refuses_p_at_0_or_1_by_the_one_checker(p):
         McConfig(spec, 10, 5, 0, CutoffRule(kind="fixed-x", x=1.0))
 
 
-def test_mc_config_refuses_an_unknown_studentization():
-    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    with pytest.raises(ValueError, match="studentization must be 'known-p' or 'plug-in'"):
-        McConfig(spec, 10, 5, 0, CutoffRule(kind="fixed-x", x=1.0), studentization="t")
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(
+            lambda name: McConfig(_SPEC, 10, 5, 0, CutoffRule("fixed-x", x=1.0), name),
+            id="McConfig",
+        ),
+        pytest.param(lambda name: z_stats(_sorted_draw(), 1.0, 0.3, name), id="z_stats"),
+    ],
+)
+def test_mc_config_refuses_an_unknown_studentization(call):
+    # McConfig and z_stats check the name against one tuple, in one text.
+    refused = r"^studentization must be one of \('known-p', 'plug-in'\), got 't'$"
+    with pytest.raises(ValueError, match=refused):
+        call("t")
 
 
 class _InlinePool:
@@ -337,11 +348,34 @@ def test_a_run_resolves_a_cutoff_set_by_the_design_once(monkeypatch, rule, resol
     assert calls == [rule.kind] * resolutions
 
 
-def test_a_negative_inspection_table_is_refused_at_the_first_draw():
-    # The undersmoothed cut-off of this table is negative, but the draw's
-    # check of the inspection times comes first, as in the public chain.
+def test_a_negative_inspection_table_is_refused_by_mc_config():
+    # The undersmoothed cut-off of this table is negative: McConfig checks
+    # the cut-off it resolves, so no replication is drawn.
     spec = MixtureSpec(0.3, Exponential(2.0), TabulatedQuantile((0.0, 1.0), (-2.0, -1.0)))
-    config = McConfig(spec, 50, 3, 0, CutoffRule("undersmoothed"))
+    with pytest.raises(ValueError, match=r"^cut-off must be finite and nonnegative, got -"):
+        McConfig(spec, 50, 3, 0, CutoffRule("undersmoothed"))
+
+
+_HALF_NEGATIVE = MixtureSpec(
+    0.3, Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (-1.0, 0.0, 5.0))
+)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_negative_cutoff_is_refused_whatever_the_seed(seed):
+    # At n = 1 the undersmoothed cut-off is this table's quantile at 0.
+    # A check inside the replications gave the draw's error for some seeds
+    # and the cut-off's for others.
+    refused = r"^cut-off must be finite and nonnegative, got -1\.0$"
+    with pytest.raises(ValueError, match=refused):
+        McConfig(_HALF_NEGATIVE, 1, 3, seed, CutoffRule("undersmoothed"))
+
+
+def test_negative_inspection_times_are_refused_at_the_draw():
+    # At n = 100 the same table has the cut-off 4.0, which passes, but
+    # half its inspection times are negative, which the draw refuses.
+    config = McConfig(_HALF_NEGATIVE, 100, 3, 0, CutoffRule("undersmoothed"))
+    assert config._x_n == 4.0
     with pytest.raises(ValueError, match="inspection times must be finite and nonnegative"):
         run_mc(config)
 
@@ -449,7 +483,9 @@ def test_simulate_and_the_probe_refuse_a_spec_of_another_type(call, owner, shown
         (lambda: MixtureSpec(True, Exponential(2.0), Exponential(1.0)), "cure fraction p"),
         (lambda: Exponential(True), "rate"),
         (lambda: z_stats(_sorted_draw(), True, 0.3), "cut-off"),
-        pytest.param(lambda: theoretical_mn(0.5, 100, True, 2.0, 1.0), "p", id="mn-p"),
+        pytest.param(
+            lambda: theoretical_mn(0.5, 100, True, 2.0, 1.0), "cure fraction p", id="mn-p"
+        ),
         pytest.param(
             lambda: theoretical_mn(0.5, 100, 0.3, True, 1.0), "event rate", id="mn-event-rate"
         ),
@@ -469,7 +505,9 @@ def test_simulate_and_the_probe_refuse_a_spec_of_another_type(call, owner, shown
             id="cutoff-inspection-rate",
         ),
         pytest.param(
-            lambda: profile_cure_loglik(npmle_pava([0, 1, 1]), [0, 1, 1], True), "p", id="profile-p"
+            lambda: profile_cure_loglik(npmle_pava([0, 1, 1]), [0, 1, 1], True),
+            "cure fraction p",
+            id="profile-p",
         ),
         pytest.param(lambda: CutoffChoice("x", 1, True), "threshold", id="choice-threshold"),
         pytest.param(
@@ -641,7 +679,7 @@ _EDGES = {
         ),
         pytest.param(
             lambda v: theoretical_cutoff_exponential(100, v, 2.0, 1.0),
-            "p",
+            "cure fraction p",
             r"lie strictly inside \(0, 1\)",
             {"5e-324"},
             id="inner",

@@ -552,6 +552,23 @@ def test_mc_p_at_0_or_1_is_usage_error(tmp_path, p):
     )
 
 
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_estimate_and_mc_name_the_cure_fraction_alike(tmp_path, p):
+    # The closed-form cut-off checks p under the name MixtureSpec and
+    # McConfig give it, so both commands print one text.
+    data = tmp_path / "toy.csv"
+    write_toy(data, [(1, 1.0), (0, 2.0), (1, 3.0)])
+    design = ["--p", p, "--f-rate", "2", "--g-rate", "1"]
+    mc = ["mc", *design, "--n", "10", "--reps", "2", "--out", str(tmp_path / "m.csv")]
+    estimate = ["estimate", "--data", str(data), "--method", "theoretical-exp", *design]
+    for argv in (mc, estimate):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stderr.splitlines()[-1].endswith(
+            f"--p: cure fraction p must lie strictly inside (0, 1), got {float(p)!r}"
+        )
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [
