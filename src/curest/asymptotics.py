@@ -179,6 +179,9 @@ def _z_pair(
     return _scaled(root_m * (p1 - center)), _scaled(root_m * (p2 - center))
 
 
+_CUTOFF_KINDS = ("optimal", "undersmoothed", "fixed-x", "fixed-tail")
+
+
 @dataclass(frozen=True)
 class CutoffRule:
     """How each replication picks its threshold.
@@ -201,7 +204,7 @@ class CutoffRule:
     tail: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("fixed-x", "optimal", "undersmoothed", "fixed-tail"):
+        if self.kind not in _CUTOFF_KINDS:
             raise ValueError(f"unknown cut-off kind {self.kind!r}")
         uses = {"fixed-x": "x", "fixed-tail": "tail"}.get(self.kind)
         for name in ("x", "tail"):
@@ -462,10 +465,6 @@ class _ThinningSpan(_Draws):
         return counts
 
 
-def _ratio(var: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    return np.where(mean > 0, var / np.where(mean > 0, mean, 1.0), np.nan)
-
-
 def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
     """Split the tail count by indicator value at thresholds calibrated to
     the requested expected tail sizes.
@@ -485,7 +484,7 @@ def thinning_check(config: ThinningConfig, workers: int = 1) -> ThinningStats:
     n1, n0 = cells
     mean = cells.mean(axis=1)
     var = cells.var(axis=1, ddof=1) if reps > 1 else np.full(mean.shape, np.nan)
-    var_over_mean = _ratio(var, mean)
+    var_over_mean = np.where(mean > 0, var / np.where(mean > 0, mean, 1.0), np.nan)
     corr = np.empty(targets.size)
     for k in range(targets.size):
         # A column's variance is 0 exactly when it is constant, and NaN

@@ -12,18 +12,22 @@ runtime failure (malformed CSV, empty tail, undefined plug-in, bad paths).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
+from functools import partial
 from statistics import NormalDist
 
 import numpy as np
 
 from .asymptotics import (
-    _STUDENTIZATIONS, CutoffRule, McConfig, ThinningConfig, run_mc, thinning_check,
+    _CUTOFF_KINDS, _STUDENTIZATIONS, CutoffRule, McConfig, ThinningConfig, run_mc,
+    thinning_check,
 )
 from .estimators import (
+    _VARIANCE_STATS,
     choice_at_index,
     cv_m1_curve,
     cv_m2_curve,
@@ -32,8 +36,8 @@ from .estimators import (
     trace,
 )
 from .model import (
-    Exponential, MixtureSpec, SortedSample, _check_real, read_csv, simulate, write_csv,
-    write_table,
+    Exponential, MixtureSpec, SortedSample, _check_count, _check_real, read_csv, simulate,
+    write_csv, write_table,
 )
 
 _JSON_KEYS = (
@@ -60,26 +64,23 @@ def _write_json_summary(path: str, **fields) -> None:
         fh.write("\n")
 
 
-def _checked(args, flag: str, build, *params):
-    """Call a validating library constructor or function; its ValueError
-    becomes a usage error (exit 2) naming the flag that supplied the value."""
+def _checked(args, flag: str, build, *params, **options):
+    """Call a library check that combines flags (each flag's own value is
+    checked as it is parsed); its ValueError is a usage error naming ``flag``."""
     try:
-        return build(*params)
+        return build(*params, **options)
     except ValueError as exc:
         args.parser.error(f"{flag}: {exc}")
 
 
+def _given(args, name: str) -> dict:
+    """The flag ``name`` as a keyword argument, if given: else the library default applies."""
+    value = getattr(args, name)
+    return {} if value is None else {name: value}
+
+
 def _mixture(args) -> MixtureSpec:
-    event = _checked(args, "--f-rate", Exponential, args.f_rate)
-    inspection = _checked(args, "--g-rate", Exponential, args.g_rate)
-    return _checked(args, "--p", MixtureSpec, args.p, event, inspection)
-
-
-def _closed_form_flags(spec: MixtureSpec) -> str:
-    """The flags to name when the optimal cut-off's closed form refuses a
-    valid mixture: p at 0 or 1, else rates that put it past the largest
-    float."""
-    return "--p" if spec.p in (0.0, 1.0) else "--f-rate/--g-rate"
+    return MixtureSpec(args.p, Exponential(args.f_rate), Exponential(args.g_rate))
 
 
 def cmd_simulate(args) -> int:
@@ -100,9 +101,10 @@ def cmd_trace(args) -> int:
 
 def cmd_cv(args) -> int:
     ss = SortedSample(read_csv(args.data))
-    m2 = cv_m2_curve(ss, variance_stat=args.variance_stat)
+    stat = _given(args, "variance_stat")
+    m2 = cv_m2_curve(ss, **stat)
     try:
-        m1 = cv_m1_curve(ss, variance_stat=args.variance_stat)
+        m1 = cv_m1_curve(ss, **stat)
     except ValueError as exc:
         m1 = None
         print(f"warning: m1 objective unavailable: {exc}", file=sys.stderr)
@@ -118,7 +120,7 @@ def cmd_cv(args) -> int:
             print(f"{flavor}: unavailable (alpha_hat invalid)")
             return
         try:
-            pick = select_cutoff(curve, guard=args.guard)
+            pick = select_cutoff(curve, **_given(args, "guard"))
         except ValueError as exc:
             print(f"warning: {flavor} selection unavailable: {exc}", file=sys.stderr)
             print(f"{flavor}: unavailable (no selectable cut-off)")
@@ -131,8 +133,7 @@ def cmd_cv(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    parser = args.parser
-    alpha = _checked(args, "--alpha", _check_real, "alpha", args.alpha, "inner")
+    parser, alpha = args.parser, args.alpha
     # Up to 2**-53, 1 - alpha/2 rounds to 1, which has no normal quantile.
     if alpha <= 2.0**-53:
         parser.error(f"--alpha: alpha must exceed 2**-53, got {alpha!r}")
@@ -154,26 +155,20 @@ def cmd_estimate(args) -> int:
     missing = [flag for flag in uses if given[flag] is None]
     if missing:
         parser.error(f"--method {args.method} needs {', '.join(missing)}")
-    if args.method == "fixed-quantile":
-        q = _checked(args, "--quantile", _check_real, "quantile", args.quantile, "inner")
-    if args.method == "theoretical-exp":
-        spec = _mixture(args)
 
     ss = SortedSample(read_csv(args.data))
-    guard = args.guard if args.guard is not None else (5 if args.method.startswith("cv-") else 1)
-
+    tr = trace(ss)
+    guard = _given(args, "guard")
     if args.method.startswith("cv-"):
         curve = (cv_m1_curve if args.method == "cv-m1" else cv_m2_curve)(ss)
-        tr = curve.trace
-        choice = select_cutoff(curve, guard=guard)
+        choice = select_cutoff(curve, **guard)
     else:
-        tr = trace(ss)
         if args.method == "fixed-index":
             pos = args.index
         elif args.method == "fixed-quantile":
             # For 0 < q < 1 the product is positive and rounds to at most n,
             # so the position lies in 1..n.
-            pos = math.ceil(q * tr.n)
+            pos = math.ceil(args.quantile * tr.n)
         else:
             print(
                 "warning: theoretical-exp uses the oracle design parameters "
@@ -181,10 +176,10 @@ def cmd_estimate(args) -> int:
                 file=sys.stderr,
             )
             x_star = _checked(
-                args, _closed_form_flags(spec), CutoffRule("optimal").resolve, spec, ss
+                args, "--f-rate/--g-rate", CutoffRule("optimal").resolve, _mixture(args), ss
             )
             pos = ss.tail_start(x_star) + 1
-        choice = choice_at_index(tr, pos, method=args.method, guard=guard)
+        choice = choice_at_index(tr, pos, method=args.method, **guard)
 
     est = estimate_cure(tr, choice)
     center = 1.0 - est.p_hat1
@@ -222,12 +217,11 @@ def cmd_mc(args) -> int:
     stray = [f for f, value in given.items() if f != own and value is not None]
     flag = stray[0] if stray else own or "--cutoff"
     rule = _checked(args, flag, CutoffRule, args.cutoff, args.cutoff_x, args.tail_count)
-    # The count flags and the choices are checked by argparse, so McConfig,
-    # which resolves a cut-off set by the design once, can still reject only
-    # p at 0 or 1 and the optimal cut-off's rates.
+    # Each flag's value is checked as it is parsed, so McConfig can still
+    # refuse only rates whose optimal cut-off is past the largest float.
     config = _checked(
-        args, _closed_form_flags(spec), McConfig,
-        spec, args.n, args.reps, args.seed, rule, args.studentization,
+        args, "--f-rate/--g-rate", McConfig,
+        spec, args.n, args.reps, args.seed, rule, **_given(args, "studentization"),
     )
     res = run_mc(config, workers=args.threads)
     write_table(args.out, "rep,z1,z2", (res.rep_index, res.z1, res.z2))
@@ -251,8 +245,8 @@ def cmd_mc(args) -> int:
 
 def cmd_thinning(args) -> int:
     spec = _mixture(args)
-    # The count flags are checked by argparse, so the only values
-    # ThinningConfig can still reject are the targets.
+    # Each flag's value is checked as it is parsed, so ThinningConfig can
+    # still refuse only a target above n.
     config = _checked(
         args, "--target-mean", ThinningConfig,
         spec, args.n, args.target_mean, args.reps, args.seed,
@@ -274,23 +268,31 @@ def cmd_thinning(args) -> int:
     return 0
 
 
-def _integer_at_least(low: int):
-    """argparse type accepting an integer of at least ``low``."""
+def _flag(read, kind: str, check, name: str, bound):
+    """argparse type for a flag feeding the library parameter ``name``: its
+    text, read by ``read``, is checked by the library's ``check`` against
+    ``bound``, so a bad value is refused in the library's words at parse."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = read(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
+            raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}") from None
+        try:
+            return check(name, value, bound)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
 
-_count = _integer_at_least(1)
-_seed = _integer_at_least(0)
+_integer = partial(_flag, int, "an integer", _check_count)
+_real = partial(_flag, float, "a real number", _check_real)
+
+
+def _default(func, name: str):
+    """The library's default for the parameter ``name`` of ``func``."""
+    return inspect.signature(func).parameters[name].default
 
 
 def _available_cpus() -> int:
@@ -301,20 +303,23 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _add_mixture_flags(sub, required: bool = True) -> None:
-    sub.add_argument("--p", type=float, required=required, help="cure fraction")
-    sub.add_argument("--f-rate", type=float, required=required, help="event-time exponential rate")
+def _add_mixture_flags(sub, p_within: str, required: bool = True) -> None:
+    # p_within: the range in which the command's library call checks p.
+    p, rate = _real("cure fraction p", p_within), _real("rate", "positive")
+    sub.add_argument("--p", type=p, required=required, help="cure fraction")
+    sub.add_argument("--f-rate", type=rate, required=required, help="event-time exponential rate")
     sub.add_argument(
-        "--g-rate", type=float, required=required, help="inspection-time exponential rate"
+        "--g-rate", type=rate, required=required, help="inspection-time exponential rate"
     )
 
 
 def _add_replication_flags(sub) -> None:
-    sub.add_argument("--n", type=_count, required=True, help="sample size per replication")
-    sub.add_argument("--reps", type=_count, required=True, help="number of replications")
-    sub.add_argument("--seed", type=_seed, default=0, help="base seed; replication k uses seed+k")
+    n, reps, seed = _integer("n", 1), _integer("reps", 1), _integer("seed", 0)
+    sub.add_argument("--n", type=n, required=True, help="sample size per replication")
+    sub.add_argument("--reps", type=reps, required=True, help="number of replications")
+    sub.add_argument("--seed", type=seed, default=0, help="base seed; replication k uses seed+k")
     sub.add_argument(
-        "--threads", type=_count, default=_available_cpus(),
+        "--threads", type=_integer("workers", 1), default=_available_cpus(),
         help="worker processes (results are independent of this)",
     )
 
@@ -327,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sim = sub.add_parser("simulate", help="draw a dataset and write delta,y CSV")
-    _add_mixture_flags(p_sim)
-    p_sim.add_argument("--n", type=_count, required=True, help="sample size")
-    p_sim.add_argument("--seed", type=_seed, default=0, help="RNG seed")
+    _add_mixture_flags(p_sim, "unit")
+    p_sim.add_argument("--n", type=_integer("n", 1), required=True, help="sample size")
+    p_sim.add_argument("--seed", type=_integer("seed", 0), default=0, help="RNG seed")
     p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -341,11 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv = sub.add_parser("cv", help="cut-off selection objectives per threshold")
     p_cv.add_argument("--data", required=True, help="input delta,y CSV")
     p_cv.add_argument("--out", required=True, help="output CSV path")
-    p_cv.add_argument("--guard", type=_count, default=5, help="minimum tail count for selection")
+    guard = _integer("guard", 1)
+    p_cv.add_argument("--guard", type=guard, help="minimum tail count for selection")
     p_cv.add_argument(
         "--variance-stat",
-        choices=("p1", "p2"),
-        default="p1",
+        choices=_VARIANCE_STATS,
         help="tail statistic used inside the variance term",
     )
     p_cv.set_defaults(func=cmd_cv)
@@ -357,40 +362,41 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=("cv-m1", "cv-m2", "theoretical-exp", "fixed-index", "fixed-quantile"),
     )
-    p_est.add_argument("--index", type=_count, help="1-based cut-off index (fixed-index)")
-    p_est.add_argument("--quantile", type=float, help="inspection quantile in (0,1) (fixed-quantile)")
+    index, q = _integer("index", 1), _real("quantile", "inner")
+    p_est.add_argument("--index", type=index, help="1-based cut-off index (fixed-index)")
+    p_est.add_argument("--quantile", type=q, help="inspection quantile in (0,1) (fixed-quantile)")
     p_est.add_argument(
         "--guard",
-        type=_count,
-        default=None,
-        help="minimum tail count (default 5 for cv methods, 1 otherwise)",
+        type=guard,
+        help=f"minimum tail count (default {_default(select_cutoff, 'guard')} for cv methods, "
+        f"{_default(choice_at_index, 'guard')} otherwise)",
     )
-    p_est.add_argument("--alpha", type=float, default=0.05, help="CI significance level")
-    _add_mixture_flags(p_est, required=False)
+    p_est.add_argument(
+        "--alpha", type=_real("alpha", "inner"), default=0.05, help="CI significance level"
+    )
+    _add_mixture_flags(p_est, "inner", required=False)
     p_est.add_argument("--json-summary", help="write machine-readable summary JSON here")
     p_est.set_defaults(func=cmd_estimate)
 
     p_mc = sub.add_parser("mc", help="replicated studentized tail statistics")
-    _add_mixture_flags(p_mc)
+    _add_mixture_flags(p_mc, "inner")
     _add_replication_flags(p_mc)
-    p_mc.add_argument(
-        "--cutoff",
-        choices=("optimal", "undersmoothed", "fixed-x", "fixed-tail"),
-        default="optimal",
-    )
+    p_mc.add_argument("--cutoff", choices=_CUTOFF_KINDS, default="optimal")
+    # CutoffRule refuses a stray field before it checks x, so x is left to it.
     p_mc.add_argument("--cutoff-x", type=float, help="threshold for --cutoff fixed-x only")
-    p_mc.add_argument("--tail-count", type=_count, help="tail size for --cutoff fixed-tail only")
-    p_mc.add_argument("--studentization", choices=_STUDENTIZATIONS, default="known-p")
+    tail = _integer("fixed-tail rule's tail", 1)
+    p_mc.add_argument("--tail-count", type=tail, help="tail size for --cutoff fixed-tail only")
+    p_mc.add_argument("--studentization", choices=_STUDENTIZATIONS)
     p_mc.add_argument("--out", required=True, help="output CSV path (rep,z1,z2)")
     p_mc.add_argument("--json-summary", help="write machine-readable summary JSON here")
     p_mc.set_defaults(func=cmd_mc)
 
     p_th = sub.add_parser("thinning", help="tail counts split by indicator value")
-    _add_mixture_flags(p_th)
+    _add_mixture_flags(p_th, "unit")
     _add_replication_flags(p_th)
     p_th.add_argument(
         "--target-mean",
-        type=float,
+        type=_real("target mean", "positive"),
         nargs="+",
         default=[20.0],
         help="expected tail sizes; thresholds are the matching inspection quantiles",

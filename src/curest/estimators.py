@@ -180,12 +180,7 @@ def choice_at_index(
 ) -> CutoffChoice:
     """CutoffChoice at a 1-based sorted-sample position, resolved to the
     threshold of the tie group containing it."""
-    index = _check_count("index", index, 1)
-    return _choice_at_entry(tr, _entry_for_index(tr, index), method, guard)
-
-
-def _choice_at_entry(tr: EstimatorTrace, entry: int, method: str, guard: int) -> CutoffChoice:
-    """The CutoffChoice at the tie group of trace entry ``entry``."""
+    entry = _entry_for_index(tr, _check_count("index", index, 1))
     return CutoffChoice(method, tr.index[entry], tr.y[entry], guard)
 
 
@@ -212,20 +207,17 @@ def plug_ins(tr: EstimatorTrace) -> PlugIns:
     return pi
 
 
-def _variance_term(tr: EstimatorTrace, variance_stat: str) -> np.ndarray:
-    if variance_stat == "p1":
-        v = tr.p1
-    elif variance_stat == "p2":
-        v = tr.p2
-    else:
-        raise ValueError(f"variance_stat must be 'p1' or 'p2', got {variance_stat!r}")
-    return v * (1.0 - v) / tr.tail_count
+# The trace fields the CV variance term may be taken from.
+_VARIANCE_STATS = ("p1", "p2")
 
 
 def _cv_curve(
     flavor: str, tr: EstimatorTrace, variance_stat: str, bias_sq: np.ndarray
 ) -> CvCurve:
-    variance = _variance_term(tr, variance_stat)
+    if variance_stat not in _VARIANCE_STATS:
+        raise ValueError(f"variance_stat must be one of {_VARIANCE_STATS}, got {variance_stat!r}")
+    v = getattr(tr, variance_stat)
+    variance = v * (1.0 - v) / tr.tail_count
     return CvCurve(flavor, tr, variance, bias_sq, variance + bias_sq)
 
 
@@ -290,7 +282,7 @@ def select_cutoff(curve: CvCurve, guard: int = 5) -> CutoffChoice:
             "the objective cannot rank cut-offs on this sample"
         )
     best = candidates[curve.objective[candidates].argmin()]
-    return _choice_at_entry(tr, best, f"cv-{curve.flavor}", guard)
+    return CutoffChoice(f"cv-{curve.flavor}", tr.index[best], tr.y[best], guard)
 
 
 def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):

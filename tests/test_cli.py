@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import curest
-from curest import asymptotics, cli, estimators
+from curest import asymptotics, cli, estimators, model
 from curest import read_csv, simulate, write_csv, z_stats
 from curest import Exponential, MixtureSpec, SortedSample
 
@@ -379,16 +379,22 @@ def test_the_least_alpha_above_two_to_the_minus_53_gives_an_interval(tmp_path):
         (["theoretical-exp"], "--method theoretical-exp needs --p, --f-rate, --g-rate"),
         (["theoretical-exp", "--p", "0.3"], "--method theoretical-exp needs --f-rate, --g-rate"),
         (["theoretical-exp", "--p", "0.3", "--g-rate", "1"], "theoretical-exp needs --f-rate"),
+        (["theoretical-exp", "--p", "0", "--f-rate", "2", "--g-rate", "1"],
+         "--p: cure fraction p must lie strictly inside (0, 1), got 0.0"),
+        (["theoretical-exp", "--p", "1", "--f-rate", "2", "--g-rate", "1"],
+         "--p: cure fraction p must lie strictly inside (0, 1), got 1.0"),
     ],
 )
 def test_estimate_method_flags_are_checked_before_the_data_are_read(
     tmp_path, flags, message
 ):
     # The data path does not exist: exit 2, not 3; a missing-flag error names
-    # only the flags that are missing.
+    # only the flags that are missing.  Nothing is run on the design, so the
+    # oracle warning is not printed either.
     res = run_cli("estimate", "--data", str(tmp_path / "absent.csv"), "--method", *flags)
     assert res.returncode == 2
     assert res.stderr.splitlines()[-1].endswith(message)
+    assert "oracle" not in res.stderr
 
 
 @pytest.mark.parametrize("flag, value", [("--n", "2.5"), ("--reps", "x")])
@@ -402,6 +408,89 @@ def test_a_count_flag_that_is_not_an_integer_is_usage_error(tmp_path, flag, valu
     assert res.returncode == 2
     assert f"expected an integer, got {value!r}" in res.stderr
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, name",
+    [
+        ("simulate", "--n", "0", "n"),
+        ("simulate", "--seed", "-1", "seed"),
+        ("cv", "--guard", "0", "guard"),
+        ("estimate", "--guard", "0", "guard"),
+        ("estimate", "--index", "0", "index"),
+        ("mc", "--n", "0", "n"),
+        ("mc", "--reps", "0", "reps"),
+        ("mc", "--seed", "-1", "seed"),
+        ("mc", "--threads", "0", "workers"),
+        ("mc", "--tail-count", "0", "fixed-tail rule's tail"),
+        ("thinning", "--n", "0", "n"),
+        ("thinning", "--reps", "0", "reps"),
+        ("thinning", "--seed", "-1", "seed"),
+        ("thinning", "--threads", "0", "workers"),
+    ],
+)
+def test_a_count_flag_is_refused_in_the_words_of_the_library(
+    tmp_path, command, flag, value, name
+):
+    # Each count is refused as it is parsed, by the check of the library
+    # parameter it feeds: the data path does not exist (exit 2, not 3), and
+    # no output is written.
+    design = ["--p", "0.3", "--f-rate", "2", "--g-rate", "1"]
+    runs = ["--n", "10", "--reps", "1", "--threads", "1"]
+    out = ["--out", str(tmp_path / "x.csv")]
+    data = ["--data", str(tmp_path / "absent.csv")]
+    flags = {
+        "simulate": [*design, "--n", "10", *out],
+        "cv": [*data, *out],
+        "estimate": [*data, "--method", "fixed-index", "--index", "1"],
+        "mc": [*design, *runs, "--cutoff", "fixed-tail", "--tail-count", "3", *out],
+        "thinning": [*design, *runs, *out],
+    }[command]
+    res = run_cli(command, *flags, flag, value)
+    with pytest.raises(ValueError) as refusal:
+        model._check_count(name, int(value), 0 if flag == "--seed" else 1)
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1].endswith(f"{flag}: {refusal.value}")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_guard_or_variance_stat_left_out_takes_the_library_default(tmp_path):
+    # On these records the m2 objective picks index 5, 4 and 3 under the
+    # guards 4, 5 and 6, so only select_cutoff's default of 5 matches.
+    data = tmp_path / "toy.csv"
+    write_toy(data, [(0, float(y)) for y in range(1, 7)] + [(1, 7.0), (1, 8.0)])
+
+    def run(command, *flags):
+        path = tmp_path / "out"
+        out = ["--out", str(path)] if command == "cv" else ["--json-summary", str(path)]
+        res = run_cli(command, "--data", str(data), *flags, *out)
+        assert res.returncode == 0, res.stderr
+        return res.stdout, path.read_bytes()
+
+    cv_m2 = ("estimate", "--method", "cv-m2")
+    assert run(*cv_m2) == run(*cv_m2, "--guard", "5")
+    assert run(*cv_m2) not in (run(*cv_m2, "--guard", "4"), run(*cv_m2, "--guard", "6"))
+    assert run("cv") == run("cv", "--guard", "5", "--variance-stat", "p1")
+    assert run("cv") != run("cv", "--guard", "4")
+    # The tail at index 8 holds one record: choice_at_index's guard of 1
+    # takes it, and a guard of 2 refuses it.
+    fixed = ("estimate", "--method", "fixed-index", "--index", "8")
+    assert run(*fixed) == run(*fixed, "--guard", "1")
+    assert run_cli("estimate", "--data", str(data), *fixed[1:], "--guard", "2").returncode == 3
+
+
+def test_mc_without_studentization_is_known_p(tmp_path):
+    out = tmp_path / "mc.csv"
+
+    def run(*flags):
+        res = run_cli(
+            "mc", "--p", "0.3", "--f-rate", "2", "--g-rate", "1", "--n", "100",
+            "--reps", "5", "--threads", "1", *flags, "--out", str(out),
+        )
+        assert res.returncode == 0, res.stderr
+        return res.stdout, out.read_bytes()
+
+    assert run() == run("--studentization", "known-p") != run("--studentization", "plug-in")
 
 
 def test_estimate_theoretical_warns_about_oracle_parameters(tmp_path):
@@ -639,15 +728,16 @@ def test_estimate_cv_builds_the_trace_once(tmp_path, monkeypatch, method):
     data = tmp_path / "sim.csv"
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     write_csv(simulate(spec, 400, seed=5), data)
-    build = estimators.trace
+    # trace keeps the trace it builds on the sample, so the command and the
+    # curve may both ask for it: what is counted is the builds.
+    build = estimators.EstimatorTrace.__post_init__
     builds = []
 
-    def counted(ss):
+    def counted(tr, ss):
         builds.append(ss)
-        return build(ss)
+        build(tr, ss)
 
-    monkeypatch.setattr(estimators, "trace", counted)
-    monkeypatch.setattr(cli, "trace", counted)
+    monkeypatch.setattr(estimators.EstimatorTrace, "__post_init__", counted)
     assert run_cli("estimate", "--data", str(data), "--method", method).returncode == 0
     assert len(builds) == 1
 
