@@ -65,8 +65,9 @@ def _write_json_summary(path: str, **fields) -> None:
 
 
 def _checked(args, flag: str, build, *params, **options):
-    """Call a library check that combines flags (each flag's own value is
-    checked as it is parsed); its ValueError is a usage error naming ``flag``."""
+    """Call a library check that combines flags, or a flag with the data
+    (each flag's own value is checked as it is parsed); its ValueError is a
+    usage error naming ``flag``."""
     try:
         return build(*params, **options)
     except ValueError as exc:
@@ -162,10 +163,11 @@ def cmd_estimate(args) -> int:
     if args.method.startswith("cv-"):
         curve = (cv_m1_curve if args.method == "cv-m1" else cv_m2_curve)(ss)
         choice = select_cutoff(curve, **guard)
+    elif args.method == "fixed-index":
+        # Only the sample's size bounds the index, so it is checked here.
+        choice = _checked(args, "--index", choice_at_index, tr, args.index, **guard)
     else:
-        if args.method == "fixed-index":
-            pos = args.index
-        elif args.method == "fixed-quantile":
+        if args.method == "fixed-quantile":
             # For 0 < q < 1 the product is positive and rounds to at most n,
             # so the position lies in 1..n.
             pos = math.ceil(args.quantile * tr.n)

@@ -49,12 +49,19 @@ class EstimatorTrace:
 
     def __post_init__(self, sample: SortedSample) -> None:
         _check_type("EstimatorTrace", sample, SortedSample)
-        starts = sample.group_start
-        p1 = _tail_means(sample, starts)
-        object.__setattr__(self, "n", sample.n)
+        n, starts = sample.n, sample.group_start
+        # The tail means at each group's start: running sums of the
+        # indicators read from the end, over the counts 1..n.  The sums are
+        # whole numbers, exact in float64, so each mean is the same double
+        # as an integer sum over an integer count.
+        means = sample.delta[::-1].astype(np.float64)
+        means.cumsum(out=means)
+        means /= np.arange(1.0, n + 1.0)
+        p1 = means[n - 1 - starts]
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "index", _freeze(starts + 1))
         object.__setattr__(self, "y", _freeze(sample.y[starts]))
-        tail_count = (sample.n - starts).astype(np.int64, copy=False)
+        tail_count = (n - starts).astype(np.int64, copy=False)
         object.__setattr__(self, "tail_count", _freeze(tail_count))
         object.__setattr__(self, "p1", _freeze(p1))
         object.__setattr__(self, "p2", _freeze(np.maximum.accumulate(p1)))
@@ -116,18 +123,6 @@ class CureEstimate:
     index: int
     threshold: float
     tail_count: int
-
-
-def _tail_means(ss: SortedSample, opens: np.ndarray) -> np.ndarray:
-    """Mean of the indicators from each sorted position in ``opens`` to the
-    end: running sums of the indicators read from the end, over the counts
-    1..n.  The sums are whole numbers, exact in float64, so each mean is the
-    same double as an integer sum over an integer count."""
-    n = ss.n
-    means = ss.delta[::-1].astype(np.float64)
-    means.cumsum(out=means)
-    means /= np.arange(1.0, n + 1.0)
-    return means[n - 1 - opens]
 
 
 def trace(ss: SortedSample) -> EstimatorTrace:

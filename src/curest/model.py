@@ -27,7 +27,7 @@ _PAD = " \t"  # the only padding a CSV field may carry
 
 class _Law:
     """A law sampled by its quantile function.  Each law computes its
-    quantiles in place (``_quantile_into``), which is how ``_draw_into``
+    quantiles in place (``_quantile_into``), which is how ``_Draws.fill``
     applies it to its uniforms; ``quantile`` does so on a copy.
 
     Only ``quantile`` can pass u = 1, where an unbounded law's quantile is
@@ -340,52 +340,50 @@ def _sort_records(y, delta, y_sorted, bits, opens) -> bool:
     return bool(opens.all())
 
 
-def _draw_into(
-    spec: MixtureSpec, seed: int, u: np.ndarray, delta: np.ndarray, uncured: np.ndarray
-) -> np.ndarray:
-    """Draw the records of ``seed`` in place, the one place that turns a
-    seed into records (see ``simulate`` for the stream layout).  The cure
-    uniforms are drawn into row 0 of the ``(2, n)`` block ``u`` and compared
-    with ``p`` into the boolean array ``uncured``; the rest of the stream
-    then fills the block, whose row 0 becomes the event times and row 1 the
-    inspection times, which are returned.  The indicators go to the boolean
-    array ``delta``."""
-    rng = np.random.default_rng(seed)
-    event_time, y = u
-    rng.random(out=event_time)
-    # A cured subject (cure uniform below p) never has the event.
-    np.greater_equal(event_time, spec.p, out=uncured)
-    rng.random(out=u)
-    spec.event._quantile_into(event_time)
-    spec.inspection._quantile_into(y)
-    np.less_equal(event_time, y, out=delta)
-    np.logical_and(delta, uncured, out=delta)
-    return y
-
-
 class _Draws:
-    """A workspace for draws of ``n`` records, reused from draw to draw: the
-    ``(2, n)`` block ``u`` of uniforms, which become the event times (row 0)
-    and the inspection times (row 1), the indicators ``delta`` and one
-    boolean ``scratch`` array, which holds the cure marks during a draw and
-    is free again once it returns; 16 bytes and two booleans per record.
-    ``draw`` returns the checked inspection times of a seed, as ``simulate``
-    draws them; the event times in row 0 are free from then on."""
+    """A workspace for draws of ``n`` records, reused from draw to draw, and
+    the one owner of a draw's buffers: the ``(2, n)`` block ``u`` of
+    uniforms, which become the event times (row 0) and the inspection times
+    (row 1), and one ``(2, n)`` boolean block, whose rows are the indicators
+    ``delta`` and a ``scratch`` row, which holds the cure marks during a
+    draw and is free again once it returns; 16 bytes and two booleans per
+    record.  ``fill`` is the one place that turns a seed into records (see
+    ``simulate`` for the stream layout).  ``draw`` also checks the
+    inspection times, as ``simulate``'s sample does; the event times in
+    row 0 are free from then on."""
 
     def __init__(self, spec: MixtureSpec, n: int) -> None:
         self.spec = spec
         self.u = np.empty((2, n))
-        self.delta = np.empty(n, dtype=bool)
-        self.scratch = np.empty(n, dtype=bool)
+        self.delta, self.scratch = np.empty((2, n), dtype=bool)
+
+    def fill(self, seed: int) -> np.ndarray:
+        """Draw the records of ``seed`` in place and return the inspection
+        times.  The cure uniforms are drawn into row 0 of ``u`` and compared
+        with ``p`` into the scratch row; the rest of the stream then fills
+        the whole block."""
+        rng = np.random.default_rng(seed)
+        spec, delta, uncured = self.spec, self.delta, self.scratch
+        event_time, y = self.u
+        rng.random(out=event_time)
+        # A cured subject (cure uniform below p) never has the event.
+        np.greater_equal(event_time, spec.p, out=uncured)
+        rng.random(out=self.u)
+        spec.event._quantile_into(event_time)
+        spec.inspection._quantile_into(y)
+        np.less_equal(event_time, y, out=delta)
+        np.logical_and(delta, uncured, out=delta)
+        return y
 
     def draw(self, seed: int) -> np.ndarray:
-        y = _draw_into(self.spec, seed, self.u, self.delta, self.scratch)
+        y = self.fill(seed)
         _check_times(y)
         return y
 
 
 def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
-    """Draw ``n`` current-status records.
+    """Draw ``n`` current-status records: one draw of a ``_Draws``
+    workspace, whose times the sample checks.
 
     The generator consumes three blocks of ``n`` uniforms in a fixed order
     (cure mark, event time, inspection time), so the stream layout is
@@ -397,10 +395,9 @@ def simulate(spec: MixtureSpec, n: int, seed: int) -> CurrentStatusSample:
     """
     _check_type("simulate", spec, MixtureSpec)
     n, seed = _check_count("n", n, 1), _check_count("seed", seed, 0)
-    u = np.empty((2, n))
-    delta, uncured = np.empty((2, n), dtype=bool)
-    y = _draw_into(spec, seed, u, delta, uncured)
-    return CurrentStatusSample(delta=delta, y=y)
+    draws = _Draws(spec, n)
+    y = draws.fill(seed)
+    return CurrentStatusSample(delta=draws.delta, y=y)
 
 
 def sort_with_concomitants(sample: CurrentStatusSample) -> SortedSample:

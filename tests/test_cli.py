@@ -229,6 +229,16 @@ def test_estimate_fixed_index_hand_values(tmp_path):
     assert "p_hat1=0.5" in res.stdout
 
 
+@pytest.mark.parametrize("index", ["4", "1000"])
+def test_estimate_an_index_past_the_sample_is_usage_error(tmp_path, index):
+    data = tmp_path / "toy.csv"
+    write_toy(data, [(1, 1.0), (0, 2.0), (1, 3.0)])
+    res = run_cli("estimate", "--data", str(data), "--method", "fixed-index", "--index", index)
+    assert res.returncode == 2
+    assert f"--index: index must lie in 1..3, got {index}" in res.stderr
+    assert res.stdout == ""
+
+
 def test_estimate_interior_ci_half_width(tmp_path):
     data = tmp_path / "wide.csv"
     rows = [(1, float(i)) for i in range(1, 13)] + [(0, float(i)) for i in range(13, 17)]

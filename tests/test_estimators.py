@@ -212,16 +212,19 @@ def test_a_pickled_sample_unpickles_with_its_trace():
 
 
 def test_trace_and_both_cv_curves_build_one_trace(monkeypatch):
-    calls = []
-    tail_means = estimators._tail_means
-    monkeypatch.setattr(
-        estimators, "_tail_means", lambda *a: calls.append(a) or tail_means(*a)
-    )
+    build = estimators.EstimatorTrace.__post_init__
+    builds = []
+
+    def counted(tr, ss):
+        builds.append(ss)
+        build(tr, ss)
+
+    monkeypatch.setattr(estimators.EstimatorTrace, "__post_init__", counted)
     ss = study_sample()
     trace(ss)
     cv_m1_curve(ss)
     cv_m2_curve(ss)
-    assert len(calls) == 1
+    assert len(builds) == 1
 
 
 def test_estimate_ordering_property():

@@ -279,6 +279,28 @@ def test_replicate_seeds_is_the_seeded_list_comprehension(p, n, reps, seed, work
     assert replicate_seeds(partial(DrawnBytes, spec, n), reps, seed, workers) == expected
 
 
+@pytest.mark.parametrize(
+    "n, p, inspection",
+    [
+        (1, 0.3, Exponential(1.0)),
+        (20, 0.0, Exponential(1.0)),
+        (20, 1.0, Exponential(1.0)),
+        (50, 0.3, TabulatedQuantile((0.0, 0.4, 0.6, 1.0), (1.0, 2.0, 2.0, 3.0))),
+        # The lowest value is -0.0 and an atom: the sample stores it as 0.0.
+        (50, 0.3, TabulatedQuantile((0.0, 0.5, 1.0), (-0.0, -0.0, 1.0))),
+    ],
+    ids=["n1", "p0", "p1", "atoms", "signed-zero"],
+)
+def test_one_workspace_reused_across_seeds_draws_what_simulate_draws(n, p, inspection):
+    # The stream's edges: one record, no cured or no uncured subject, tied
+    # times, and seeds on both sides of 2**32 up to the largest 64-bit one.
+    spec = MixtureSpec(p=p, event=Exponential(2.0), inspection=inspection)
+    drawn = DrawnBytes(spec, n)
+    for seed in (0, 2**32 - 1, 2**32, 2**64 - 1):
+        sample = simulate(spec, n, seed)
+        assert drawn(seed) == sample.delta.tobytes() + sample.y.tobytes(), seed
+
+
 @CASES
 @given(deltas=st.lists(st.integers(0, 1), min_size=1, max_size=12))
 def test_pava_equals_the_max_min_formula(deltas):
