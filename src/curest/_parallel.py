@@ -44,7 +44,7 @@ def _span(per_span, seed: int, start: int, stop: int) -> list:
     return [one(seed + k) for k in range(start, stop)]
 
 
-def replicate_seeds(per_span, reps: int, seed: int, workers: int = 1) -> list:
+def replicate_seeds(per_span, reps: int, seed: int, workers: int) -> list:
     """``[one(seed + k) for k in range(reps)]`` for any worker count, where
     each span of replications calls ``one = per_span()`` once, so ``one``
     may hold buffers that its replications reuse.  With more than one

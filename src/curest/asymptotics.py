@@ -101,15 +101,16 @@ def z_stats(
     sqrt(p_true (1 - p_true)); ``'plug-in'`` replaces p_true by 1 - p2 in
     the denominator only, which can degenerate to zero and then yields a
     non-finite statistic rather than an exception.  p1 and p2 are the
-    same doubles as the sample's ``trace`` holds at the cut-off, computed
-    from the positions of the ones (see ``_tail_pair``) without building
-    the trace.
+    same doubles as the sample's ``trace`` holds at the cut-off, read off
+    the positions of the ones by ``_tail_pair``, called exactly as
+    ``run_mc``'s workspace calls it, without building the trace.
     """
     _check_studentization(studentization)
     p_true = _check_real("p_true", p_true, "inner")
     i = ss.tail_start(_check_real("cut-off", x_n, "nonnegative"))
     n, starts = ss.n, ss.group_start
-    p1, p2 = _tail_pair(ss.delta.nonzero()[0], n, i, None if starts.size == n else starts)
+    ones, ramp = ss.delta.nonzero()[0], np.arange(n, 0.0, -1.0)
+    p1, p2 = _tail_pair(ones, n, i, None if starts.size == n else starts, ramp, np.empty(n), 0)
     z1, z2 = _z_pair(p1, p2, n - i, p_true, studentization)
     return ZStatPair(z1=z1, z2=z2, tail_count=n - i)
 
@@ -119,18 +120,18 @@ def _tail_pair(
     n: int,
     i: int,
     starts: np.ndarray | None,
-    ramp: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    beyond: int = 0,
+    ramp: np.ndarray,
+    out: np.ndarray,
+    beyond: int,
 ) -> tuple[float, float]:
     """(p1, p2) at the tail that opens at position ``i``, a tie-group
     opening, of ``n`` sorted records whose ones sit at the ascending
     positions ``ones``; ``starts`` holds the tie-group openings, or is None
-    when the records are untied.  A caller that calls often passes the
-    doubles N, N - 1, ..., 1 for an N >= n as ``ramp`` and room for n
-    doubles as ``out``; without them, a call allocates two arrays as long
-    as the ones below i.  A caller that holds only the bottom of the
-    records passes the count of ones above them as ``beyond``, past i.
+    when the records are untied.  Each caller, ``z_stats`` and ``run_mc``'s
+    workspace alike, passes the doubles N, N - 1, ..., 1 for an N >= n as
+    ``ramp``, room for n doubles as ``out``, and the count of ones above
+    the records it holds as ``beyond``, past i: 0 unless it holds only the
+    bottom of the records.
 
     Of the k ones, j lie below i, so p1 = (k - j) / (n - i).  p2 is the
     largest tail mean at an opening up to i.  An opening whose group holds
@@ -151,10 +152,9 @@ def _tail_pair(
     below = ones[:j]
     if starts is not None:
         below = starts[starts.searchsorted(below, "right") - 1]
-    means = np.empty(j) if out is None else out[:j]
+    means = out[:j]
     np.subtract(n, below, out=means)
-    counts = np.arange(k, k - j, -1.0) if ramp is None else ramp[ramp.size - k :][:j]
-    np.divide(counts, means, out=means)
+    np.divide(ramp[ramp.size - k :][:j], means, out=means)
     return p1, max(p1, float(means.max()))
 
 
@@ -310,9 +310,9 @@ class _McSpan(_Draws):
     its ones (see ``_tail_pair``), and on the band path a few arrays as
     long as the band or the count of buckets.  It takes the steps of
     ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
-    on the same kernels, so its (z1, z2) are the same doubles.  It reads
-    the threshold that ``McConfig`` resolved and checked, and reads one
-    off the sorted times only for ``fixed-tail``.
+    on kernels called exactly as that chain calls them, so its (z1, z2) are
+    the same doubles.  It reads the threshold that ``McConfig`` resolved and
+    checked, and reads one off the sorted times only for ``fixed-tail``.
 
     At large n it sorts only the band of the records that can set p2
     (``_band.gather``, whose docstring holds the proof): the band's times

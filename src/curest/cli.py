@@ -41,14 +41,7 @@ from .model import (
 )
 
 _JSON_KEYS = (
-    "pHat1",
-    "pHat2",
-    "cutIndex",
-    "cutThreshold",
-    "tailCount",
-    "ciLo",
-    "ciHi",
-    "ksNormal",
+    "pHat1", "pHat2", "cutIndex", "cutThreshold", "tailCount", "ciLo", "ciHi", "ksNormal",
     "ksHalfNormal",
 )
 
@@ -357,7 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cv.set_defaults(func=cmd_cv)
 
-    p_est = sub.add_parser("estimate", help="cure estimates at a chosen cut-off")
+    p_est = sub.add_parser(
+        "estimate",
+        help="cure estimates at a chosen cut-off",
+        description="Cure estimates 1 - p1 and 1 - p2 at a chosen cut-off.  They estimate the "
+        "cure fraction p only under sufficient follow-up, when the inspections reach past the "
+        "event times.  When no inspection falls after a time tau, they estimate "
+        "p' = 1 - (1 - p) F(tau), F the event-time CDF (Maller & Zhou 1992, Biometrika 79(4)).",
+    )
     p_est.add_argument("--data", required=True, help="input delta,y CSV")
     p_est.add_argument(
         "--method",

@@ -210,9 +210,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _indicators(delta, dtype) -> np.ndarray:
-    """``delta`` cast to ``dtype`` once every entry is checked to be 0 or 1;
-    the check comes first because the cast would truncate 0.5 to 0.
+def _indicators(delta) -> np.ndarray:
+    """``delta`` cast to int8, a sample's dtype, once every entry is checked
+    to be 0 or 1; the check comes first as the cast would truncate 0.5 to 0.
 
     A boolean array skips the check: it can only hold False and True, and
     the cast maps every byte of a boolean, even one other than 0 or 1, to 0
@@ -230,7 +230,7 @@ def _indicators(delta, dtype) -> np.ndarray:
         ok = raw.dtype == bool or ((raw == 0) | (raw == 1)).all()
     if not ok:
         raise ValueError("delta entries must be 0 or 1")
-    return raw.astype(dtype)
+    return raw.astype(np.int8)
 
 
 def _check_times(y: np.ndarray) -> None:
@@ -253,7 +253,7 @@ class CurrentStatusSample:
         y = np.asarray(self.y, dtype=float) + 0.0  # a copy, with -0.0 as 0.0
         if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
             raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
-        delta = _indicators(raw, np.int8)
+        delta = _indicators(raw)
         _check_times(y)
         object.__setattr__(self, "delta", _freeze(delta))
         object.__setattr__(self, "y", _freeze(y))

@@ -46,7 +46,7 @@ def _as_indicator(deltas) -> np.ndarray:
     d = np.asarray(deltas)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("deltas must be a nonempty 1-d sequence")
-    return _indicators(d, np.int64)
+    return _indicators(d)
 
 
 def npmle_pava(deltas) -> NpmleFit:

@@ -100,8 +100,10 @@ def test_z_stats_error_cases():
 
 
 def tail_pair(deltas, i, starts=None):
-    ones = np.flatnonzero(deltas)
-    return _tail_pair(ones, len(deltas), i, None if starts is None else np.asarray(starts))
+    # The buffers run_mc's workspace passes: the ramp n, ..., 1 and room for n means.
+    ones, n = np.flatnonzero(deltas), len(deltas)
+    tied = None if starts is None else np.asarray(starts)
+    return _tail_pair(ones, n, i, tied, np.arange(n, 0.0, -1.0), np.empty(n), 0)
 
 
 def test_tail_pair_hand_cases():

@@ -813,6 +813,16 @@ def test_usage_errors():
     assert "simulate" in help_res.stdout
 
 
+def test_estimate_help_states_the_follow_up_condition():
+    # 1 - p1 and 1 - p2 estimate p only when the inspections reach past the
+    # event times; the help says so, and names what they estimate otherwise.
+    res = run_cli("estimate", "--help")
+    assert res.returncode == 0
+    text = " ".join(res.stdout.split())
+    for phrase in ("sufficient follow-up", "p' = 1 - (1 - p) F(tau)", "Maller & Zhou 1992"):
+        assert phrase in text, phrase
+
+
 def test_missing_input_file_is_runtime_error(tmp_path):
     res = run_cli("trace", "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "o.csv"))
     assert res.returncode == 3

@@ -530,3 +530,28 @@ def test_exponential_closed_forms_reject_bad_rates(call, rate):
 def test_exponential_closed_forms_refuse_a_count_that_is_not_an_integer(call, n):
     with pytest.raises(ValueError, match="n must be an integer of at least 1"):
         call(n)
+
+
+def test_tail_average_estimates_the_followed_up_event_share_not_one_minus_p():
+    # Inspections stop at tau = 1, before the Exp(2) event times do.  Given
+    # m >= 1 records at or above x < tau, their indicators are iid with mean
+    # q(x) = (1 - p) [1 - (e^(-2x) - e^(-2 tau)) / (2 (tau - x))], which
+    # rises to (1 - p) F(tau) = 0.6053 as x nears tau, never to 1 - p = 0.7:
+    # without follow-up past the events, 1 - p1 tends to
+    # p' = 1 - (1 - p) F(tau) = 0.3947, not to p (Maller & Zhou 1992).
+    # Seeds 1000 + k and the 4-sd band were fixed before any run.
+    p, tau, n, reps = 0.3, 1.0, 400, 2000
+    spec = MixtureSpec(p, Exponential(2.0), TabulatedQuantile((0.0, 1.0), (0.0, tau)))
+    traces = [trace(SortedSample(simulate(spec, n, 1000 + k))) for k in range(reps)]
+    for x, q_rounded in ((0.5, 0.5372), (0.8, 0.5835), (0.95, 0.6004)):
+        q = (1 - p) * (1 - (math.exp(-2 * x) - math.exp(-2 * tau)) / (2 * (tau - x)))
+        assert q == pytest.approx(q_rounded, abs=5e-5)
+        p1 = []
+        for tr in traces:
+            e = int(np.searchsorted(tr.y, x))  # the first threshold >= x
+            if e < tr.y.size:
+                p1.append(tr.p1[e])
+        mean, half = np.mean(p1), 4 * np.std(p1, ddof=1) / math.sqrt(reps)
+        assert abs(mean - q) <= half, (x, mean, q, half)
+        assert abs(mean - (1 - p)) > half
+    assert (1 - p) * (1 - math.exp(-2 * tau)) == pytest.approx(0.6053, abs=5e-5)

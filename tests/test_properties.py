@@ -461,9 +461,8 @@ def test_tail_pair_is_the_trace_entry_at_every_opening(sample, seed):
     ramps = [np.arange(float(n + extra), 0.0, -1.0) for extra in (0, 7)]
     for e, i in enumerate(starts.tolist()):
         want = np.array([tr.p1[e], tr.p2[e]]).tobytes()
-        assert np.array(_tail_pair(ones, n, i, tied)).tobytes() == want
         for ramp in ramps:
-            assert np.array(_tail_pair(ones, n, i, tied, ramp, np.empty(n))).tobytes() == want
+            assert np.array(_tail_pair(ones, n, i, tied, ramp, np.empty(n), 0)).tobytes() == want
 
 
 def visit_schedule():
