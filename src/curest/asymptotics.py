@@ -109,8 +109,7 @@ def z_stats(
     p_true = _check_real("p_true", p_true, "inner")
     i = ss.tail_start(_check_real("cut-off", x_n, "nonnegative"))
     n, starts = ss.n, ss.group_start
-    ones, ramp = ss.delta.nonzero()[0], np.arange(n, 0.0, -1.0)
-    p1, p2 = _tail_pair(ones, n, i, None if starts.size == n else starts, ramp, np.empty(n), 0)
+    p1, p2 = _tail_pair(ss.delta.nonzero()[0], n, i, None if starts.size == n else starts, 0)
     z1, z2 = _z_pair(p1, p2, n - i, p_true, studentization)
     return ZStatPair(z1=z1, z2=z2, tail_count=n - i)
 
@@ -120,18 +119,15 @@ def _tail_pair(
     n: int,
     i: int,
     starts: np.ndarray | None,
-    ramp: np.ndarray,
-    out: np.ndarray,
     beyond: int,
 ) -> tuple[float, float]:
     """(p1, p2) at the tail that opens at position ``i``, a tie-group
     opening, of ``n`` sorted records whose ones sit at the ascending
     positions ``ones``; ``starts`` holds the tie-group openings, or is None
-    when the records are untied.  Each caller, ``z_stats`` and ``run_mc``'s
-    workspace alike, passes the doubles N, N - 1, ..., 1 for an N >= n as
-    ``ramp``, room for n doubles as ``out``, and the count of ones above
-    the records it holds as ``beyond``, past i: 0 unless it holds only the
-    bottom of the records.
+    when the records are untied.  ``beyond`` counts the ones above the
+    records the caller holds, past i: 0 unless it holds only the bottom of
+    the records.  It allocates only the counts and means it divides, one
+    per one below i.
 
     Of the k ones, j lie below i, so p1 = (k - j) / (n - i).  p2 is the
     largest tail mean at an opening up to i.  An opening whose group holds
@@ -152,9 +148,8 @@ def _tail_pair(
     below = ones[:j]
     if starts is not None:
         below = starts[starts.searchsorted(below, "right") - 1]
-    means = out[:j]
-    np.subtract(n, below, out=means)
-    np.divide(ramp[ramp.size - k :][:j], means, out=means)
+    means = np.arange(k, k - j, -1.0)
+    means /= n - below
     return p1, max(p1, float(means.max()))
 
 
@@ -298,16 +293,15 @@ class McResult:
 class _McSpan(_Draws):
     """The replications of one span of ``run_mc``, drawn in one workspace.
 
-    The buffers are allocated once per span and reused by every
-    replication: the draw's ``(2, n)`` block, the indicators, the draw's
-    scratch and the counts n, n - 1, ..., 1; that is 3.25 doubles per
-    record.  A replication runs four kernels on them: draw, band, sort and
-    tail.  Once the indicators are drawn, row 0's event times are free,
-    and ``_sort_records`` sorts the records there, with the indicators in
-    their own bytes and the tie-group marks in the scratch; row 1's
-    unsorted times are free by then and take the tail means at the ones
-    below the cut-off.  An untied replication allocates the positions of
-    its ones (see ``_tail_pair``), and on the band path a few arrays as
+    The workspace is the draw's alone, allocated once per span and reused
+    by every replication: the ``(2, n)`` block, the indicators and the
+    scratch; that is 2.25 doubles per record.  A replication runs four
+    kernels on them: draw, band, sort and tail.  Once the indicators are
+    drawn, row 0's event times are free, and ``_sort_records`` sorts the
+    records there, with the indicators in their own bytes and the
+    tie-group marks in the scratch.  A replication allocates the positions
+    of its ones, and ``_tail_pair`` arrays as long as the count of ones
+    below the cut-off; on the band path it also allocates a few arrays as
     long as the band or the count of buckets.  It takes the steps of
     ``simulate``, ``SortedSample``, ``CutoffRule.resolve`` and ``z_stats``
     on kernels called exactly as that chain calls them, so its (z1, z2) are
@@ -327,13 +321,12 @@ class _McSpan(_Draws):
     def __init__(self, config: McConfig) -> None:
         super().__init__(config.spec, config.n)
         self.config = config
-        self.ramp = np.arange(config.n, 0.0, -1.0)
         self.buckets = _band.buckets(config.spec.inspection, config.n)
 
     def __call__(self, seed: int) -> tuple[float, float] | None:
         config, opens, bits = self.config, self.scratch, self.delta
         y = self.draw(seed)
-        ys, means = self.u
+        ys = self.u[0]
         x, n, beyond, floor = config._x_n, config.n, 0, 0.0
         if self.buckets is not None:
             band = _band.gather(y, bits, ys, opens, x, config.cutoff.tail, *self.buckets)
@@ -350,7 +343,7 @@ class _McSpan(_Draws):
         if i == n:
             return None
         starts = None if untied else opens.nonzero()[0]
-        p1, p2 = _tail_pair(bits.nonzero()[0], n, i, starts, self.ramp, means, beyond)
+        p1, p2 = _tail_pair(bits.nonzero()[0], n, i, starts, beyond)
         return _z_pair(p1, max(p2, floor), n - i, config.spec.p, config.studentization)
 
 

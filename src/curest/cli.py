@@ -6,7 +6,8 @@ replicated distributional checks.  Every command is a one-shot batch step:
 it reads/writes CSV files, prints a short summary to stdout, and exits.
 
 Exit codes: 0 success; 2 usage or parameter validation error; 3 data or
-runtime failure (malformed CSV, empty tail, undefined plug-in, bad paths).
+runtime failure (malformed CSV, empty tail, undefined plug-in, bad paths,
+a sample too large to allocate).
 """
 
 from __future__ import annotations
@@ -416,6 +417,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -40,8 +40,9 @@ from curest import (
     trace,
     z_stats,
 )
-from curest.asymptotics import CutoffRule, _McSpan, _tail_pair
+from curest.asymptotics import CutoffRule, _McSpan, _ThinningSpan, _tail_pair
 from curest.model import _Draws
+from curest.npmle import _ProbeSpan
 
 from oracles import running_mean_max_cdf, thinning_cell_probabilities
 
@@ -100,10 +101,9 @@ def test_z_stats_error_cases():
 
 
 def tail_pair(deltas, i, starts=None):
-    # The buffers run_mc's workspace passes: the ramp n, ..., 1 and room for n means.
     ones, n = np.flatnonzero(deltas), len(deltas)
     tied = None if starts is None else np.asarray(starts)
-    return _tail_pair(ones, n, i, tied, np.arange(n, 0.0, -1.0), np.empty(n), 0)
+    return _tail_pair(ones, n, i, tied, 0)
 
 
 def test_tail_pair_hand_cases():
@@ -715,12 +715,15 @@ def _array_bytes(workspace) -> int:
 
 @pytest.mark.parametrize("n", [1, 7, 1000])
 def test_replication_workspaces_hold_what_their_docstrings_say(n):
-    # Two rows of doubles and two boolean rows per draw; run_mc adds the
-    # counts n, n - 1, ..., 1 and sorts its keys in the draw's rows.
+    # Two rows of doubles and two boolean rows per draw, and nothing more:
+    # run_mc sorts its keys in the draw's rows, and the tail kernel
+    # allocates its own means.
     assert _array_bytes(_Draws(_SPEC, n)) == 16 * n + 2 * n
     mc = _McSpan(_mc_config(n=n, cutoff=CutoffRule("fixed-tail", tail=1)))
-    assert _array_bytes(mc) <= 26 * n
-    assert not hasattr(mc, "key")
+    thinning = _ThinningSpan(_SPEC, n, np.array([0.5, 1.0]))
+    for workspace in (mc, thinning, _ProbeSpan(_SPEC, n)):
+        assert _array_bytes(workspace) == 16 * n + 2 * n
+    assert not hasattr(mc, "key") and not hasattr(mc, "ramp")
 
 
 def test_ks_against_normal_improves_with_sample_size():

@@ -106,6 +106,23 @@ def test_simulate_unwritable_path_is_runtime_error():
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--seed", "1"], ["mc", "--reps", "2", "--threads", "2"]],
+    ids=["simulate", "mc-2-workers"],
+)
+def test_a_sample_too_large_to_allocate_is_runtime_error(tmp_path, command):
+    # 2 * 10**15 doubles, 14.2 PiB, lie beyond any address space, so the
+    # draw's allocation fails at once, in process or in a worker.
+    res = run_cli(
+        *command, "--p", "0.3", "--f-rate", "2", "--g-rate", "1",
+        "--n", str(10**15), "--out", str(tmp_path / "out.csv"),
+    )
+    assert res.returncode == 3
+    assert res.stderr.startswith("error: Unable to allocate 14.2 PiB")
+    assert res.stderr.count("\n") == 1
+
+
 def test_trace_hand_values(tmp_path):
     data = tmp_path / "toy.csv"
     write_toy(data, [(1, 1.0), (0, 2.0), (1, 3.0)])
