@@ -24,8 +24,10 @@ from .model import (
     Exponential,
     MixtureSpec,
     SortedSample,
+    _check_choice,
     _check_count,
     _check_real,
+    _check_reals,
     _check_type,
     _Draws,
     _sort_records,
@@ -63,11 +65,6 @@ _REFERENCES = {"std-normal": std_normal_cdf, "half-normal": half_normal_cdf}
 _STUDENTIZATIONS = ("known-p", "plug-in")
 
 
-def _check_studentization(name) -> None:
-    if name not in _STUDENTIZATIONS:
-        raise ValueError(f"studentization must be one of {_STUDENTIZATIONS}, got {name!r}")
-
-
 def ks_distance(samples, reference: str) -> float:
     """Exact sup distance between the empirical CDF and a reference law.
 
@@ -75,14 +72,12 @@ def ks_distance(samples, reference: str) -> float:
     the sup over the whole line is attained.  Mass below the half-normal
     support (negative samples) counts at full weight; nothing is clamped.
     """
-    if reference not in _REFERENCES:
-        raise ValueError(f"reference must be one of {sorted(_REFERENCES)}, got {reference!r}")
+    cdf = _REFERENCES[_check_choice("reference", reference, tuple(_REFERENCES))]
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("samples must be finite")
-    ref = np.asarray(_REFERENCES[reference](x), dtype=float)
+    _check_reals("samples", x, "finite")
+    ref = np.asarray(cdf(x), dtype=float)
     m = x.size
     steps = np.arange(1, m + 1) / m
     upper = np.max(steps - ref)
@@ -105,7 +100,7 @@ def z_stats(
     the positions of the ones by ``_tail_pair``, called exactly as
     ``run_mc``'s workspace calls it, without building the trace.
     """
-    _check_studentization(studentization)
+    studentization = _check_choice("studentization", studentization, _STUDENTIZATIONS)
     p_true = _check_real("p_true", p_true, "inner")
     i = ss.tail_start(_check_real("cut-off", x_n, "nonnegative"))
     n, starts = ss.n, ss.group_start
@@ -199,8 +194,7 @@ class CutoffRule:
     tail: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _CUTOFF_KINDS:
-            raise ValueError(f"unknown cut-off kind {self.kind!r}")
+        object.__setattr__(self, "kind", _check_choice("cut-off kind", self.kind, _CUTOFF_KINDS))
         uses = {"fixed-x": "x", "fixed-tail": "tail"}.get(self.kind)
         for name in ("x", "tail"):
             if name != uses and getattr(self, name) is not None:
@@ -255,7 +249,8 @@ class McConfig:
         object.__setattr__(self, "reps", _check_count("reps", self.reps, 1))
         object.__setattr__(self, "seed", _check_count("seed", self.seed, 0))
         _check_real("cure fraction p", self.spec.p, "inner")
-        _check_studentization(self.studentization)
+        studentization = _check_choice("studentization", self.studentization, _STUDENTIZATIONS)
+        object.__setattr__(self, "studentization", studentization)
         rule, x_n = self.cutoff, None
         if rule.kind != "fixed-tail":
             x_n = _check_real("cut-off", rule._threshold(self.spec, self.n, None), "nonnegative")

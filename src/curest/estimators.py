@@ -23,7 +23,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .model import SortedSample, _check_count, _check_real, _check_type, _freeze
+from .model import SortedSample, _check_choice, _check_count, _check_real, _check_reals, _check_type, _freeze
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,7 @@ _VARIANCE_STATS = ("p1", "p2")
 def _cv_curve(
     flavor: str, tr: EstimatorTrace, variance_stat: str, bias_sq: np.ndarray
 ) -> CvCurve:
-    if variance_stat not in _VARIANCE_STATS:
-        raise ValueError(f"variance_stat must be one of {_VARIANCE_STATS}, got {variance_stat!r}")
-    v = getattr(tr, variance_stat)
+    v = getattr(tr, _check_choice("variance_stat", variance_stat, _VARIANCE_STATS))
     variance = v * (1.0 - v) / tr.tail_count
     return CvCurve(flavor, tr, variance, bias_sq, variance + bias_sq)
 
@@ -288,8 +286,7 @@ def theoretical_mn(x, n: int, p: float, event_rate: float, inspect_rate: float):
     lam = _check_real("event rate", event_rate, "positive")
     mu = _check_real("inspection rate", inspect_rate, "positive")
     x = np.asarray(x, dtype=float)
-    if not np.all((x >= 0) & (x < math.inf)):  # NaN fails this form too
-        raise ValueError("x must be nonnegative and finite")
+    _check_reals("x", x, "nonnegative")
     variance = p * (1.0 - p) / n * np.exp(mu * x)
     bias = (1.0 - p) * mu / (lam + mu) * np.exp(-lam * x)
     out = variance + bias * bias

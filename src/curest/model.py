@@ -43,10 +43,7 @@ class _Law:
 
     def quantile(self, u):
         u = np.array(u, dtype=float)  # a copy: the argument is left as it was
-        # A NaN carries through min and max and fails both comparisons; an
-        # empty argument has neither, and has nothing to refuse.
-        if u.size and not (u.min() >= 0.0 and u.max() <= 1.0):
-            raise ValueError("quantile argument must lie in [0, 1]")
+        _check_reals("quantile argument", u, "unit")
         with np.errstate(divide="ignore"):
             self._quantile_into(u)
         return float(u) if u.ndim == 0 else u
@@ -198,6 +195,26 @@ def _check_real(name: str, value, within: str) -> float:
     raise ValueError(f"{name} must {words}, got {value!r}")
 
 
+def _check_reals(name: str, values: np.ndarray, within: str) -> None:
+    """Refuse the float array ``values`` unless each entry is finite and in
+    the range ``within`` names, as ``_check_real`` would pass it.  Every
+    range is an interval, so its least and largest entries decide, and a
+    NaN carries through both; an empty array has nothing to refuse."""
+    if values.size:
+        words, holds = _RANGES[within]
+        lo, hi = values.min(), values.max()
+        if not (math.isfinite(lo) and math.isfinite(hi) and holds(lo) and holds(hi)):
+            raise ValueError(f"{name} must {words}")
+
+
+def _check_choice(name: str, value, choices: tuple) -> str:
+    """``value`` as the string of ``choices`` it equals; anything else, a
+    list or an array of one of them included, is refused."""
+    if isinstance(value, str) and value in choices:
+        return choices[choices.index(value)]
+    raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
 def _check_type(owner: str, value, cls: type) -> None:
     """Refuse ``value`` with a ``TypeError`` naming its type unless it is a
     ``cls``."""
@@ -211,8 +228,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _indicators(delta) -> np.ndarray:
-    """``delta`` cast to int8, a sample's dtype, once every entry is checked
-    to be 0 or 1; the check comes first as the cast would truncate 0.5 to 0.
+    """``delta`` cast to int8, a sample's dtype, once it is checked to be a
+    nonempty 1-d sequence whose every entry is 0 or 1; the check comes first
+    as the cast would truncate 0.5 to 0.
 
     A boolean array skips the check: it can only hold False and True, and
     the cast maps every byte of a boolean, even one other than 0 or 1, to 0
@@ -222,8 +240,10 @@ def _indicators(delta) -> np.ndarray:
     A one-byte integer array, such as the int8 ``delta`` of a sample, is
     checked by the largest of its bytes read as unsigned: a negative int8
     reads as at least 128, so that maximum is at most 1 exactly when every
-    entry is 0 or 1.  ``delta`` must be nonempty."""
+    entry is 0 or 1."""
     raw = np.asarray(delta)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError("deltas must be a nonempty 1-d sequence")
     if raw.dtype.kind in "iu" and raw.dtype.itemsize == 1:
         ok = raw.view(np.uint8).max() <= 1
     else:
@@ -231,12 +251,6 @@ def _indicators(delta) -> np.ndarray:
     if not ok:
         raise ValueError("delta entries must be 0 or 1")
     return raw.astype(np.int8)
-
-
-def _check_times(y: np.ndarray) -> None:
-    # A NaN carries through min and max and fails both comparisons.
-    if not (y.min() >= 0.0 and y.max() < math.inf):
-        raise ValueError("inspection times must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -249,12 +263,11 @@ class CurrentStatusSample:
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.delta)
+        delta = _indicators(self.delta)
         y = np.asarray(self.y, dtype=float) + 0.0  # a copy, with -0.0 as 0.0
-        if raw.ndim != 1 or y.shape != raw.shape or raw.size == 0:
+        if y.shape != delta.shape:
             raise ValueError("delta and y must be 1-d arrays of equal nonzero length")
-        delta = _indicators(raw)
-        _check_times(y)
+        _check_reals("inspection times", y, "nonnegative")
         object.__setattr__(self, "delta", _freeze(delta))
         object.__setattr__(self, "y", _freeze(y))
 
@@ -377,7 +390,7 @@ class _Draws:
 
     def draw(self, seed: int) -> np.ndarray:
         y = self.fill(seed)
-        _check_times(y)
+        _check_reals("inspection times", y, "nonnegative")
         return y
 
 

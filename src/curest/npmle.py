@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from ._parallel import replicate_seeds
-from .model import MixtureSpec, _check_count, _check_real, _check_type, _Draws, _indicators
+from .model import MixtureSpec, _check_count, _check_real, _check_reals, _check_type, _Draws, _indicators
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,6 @@ class CureArgmaxInterval:
     hi: float
 
 
-def _as_indicator(deltas) -> np.ndarray:
-    d = np.asarray(deltas)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("deltas must be a nonempty 1-d sequence")
-    return _indicators(d)
-
-
 def npmle_pava(deltas) -> NpmleFit:
     """Pool adjacent violators in one left-to-right pass, linear time.
 
@@ -63,7 +56,7 @@ def npmle_pava(deltas) -> NpmleFit:
     pushes every record as its own block and pools it at once would form,
     and each fitted value is the single division sum/count.
     """
-    d = _as_indicator(deltas)
+    d = _indicators(deltas)
     sums: list[int] = []
     counts: list[int] = []
     s = c = 0
@@ -94,12 +87,11 @@ def log_lik(f, deltas) -> float:
     be nondecreasing within [0, 1]; anything else is a contract violation,
     not a -inf case.
     """
-    d = _as_indicator(deltas)
+    d = _indicators(deltas)
     f = np.asarray(f, dtype=float)
     if f.shape != d.shape:
         raise ValueError("f and deltas must have equal length")
-    if not np.all((f >= 0.0) & (f <= 1.0)):  # NaN fails this form too
-        raise ValueError("f values must lie in [0, 1]")
+    _check_reals("f values", f, "unit")
     if np.any(np.diff(f) < 0.0):
         raise ValueError("f must be nondecreasing")
     event = f[d == 1]

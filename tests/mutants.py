@@ -1,0 +1,174 @@
+"""Catalogue of known faults (mutants) and the tests that must catch them.
+
+Each mutant is one exact-text replacement in one module of ``src/curest``,
+with the test node ids that must fail once it is applied.  The runner
+copies ``src/`` to a temporary directory, applies one mutant there, and
+runs only that mutant's tests against the copy; the tree itself is never
+edited.  A mutant whose text matches its module zero times or more than
+once is an error, not a pass: a change that moves the code updates the
+catalogue.  An equivalent mutant, one that no test can catch because the
+program's outputs do not change, is listed with the reason, and its tests
+must pass.
+
+Not collected by pytest; it needs the test extras.  Run all mutants, or
+the ones named, from the repository root:
+
+    python tests/mutants.py [name ...]
+
+It prints one line per mutant and exits 1 if any mutant survived, any
+equivalent one was caught, or any text did not match exactly once.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    module: str  # a file of src/curest
+    text: str
+    replacement: str
+    tests: tuple[str, ...]
+    equivalent: str = ""  # why no test can catch it; empty for a fault
+
+
+CATALOGUE = (
+    Mutant(
+        "pava-one-joins-a-mixed-block",
+        "npmle.py",
+        "elif s == c:",
+        "elif True:",
+        ("tests/test_npmle.py::test_pava_equals_brute_exhaustively_small_n",),
+    ),
+    Mutant(
+        "pava-zero-skips-pooling",
+        "npmle.py",
+        "while sums and sums[-1] * c >= s * counts[-1]:",
+        "while False:",
+        ("tests/test_npmle.py::test_pava_equals_brute_exhaustively_small_n",),
+    ),
+    Mutant(
+        "pava-pools-only-a-higher-mean",
+        "npmle.py",
+        "sums[-1] * c >= s * counts[-1]",
+        "sums[-1] * c > s * counts[-1]",
+        (
+            "tests/test_npmle.py::test_pava_equals_brute_exhaustively_small_n",
+            "tests/test_properties.py::test_pava_gives_the_bytes_of_the_record_by_record_pass",
+        ),
+        equivalent=(
+            "it leaves only adjacent blocks of equal mean unpooled, which the unique"
+            " isotonic fit gives the same values, and equal ratios of integers divide"
+            " to the same double; it gave the bytes of the record-by-record pass on all"
+            " 131,070 bit strings of n <= 16"
+        ),
+    ),
+    Mutant(
+        "one-byte-indicators-below-1",
+        "model.py",
+        "raw.view(np.uint8).max() <= 1",
+        "raw.view(np.uint8).max() < 1",
+        ("tests/test_npmle.py::test_one_byte_and_boolean_indicators_fit_as_int64",),
+    ),
+    Mutant(
+        "one-byte-indicators-up-to-2",
+        "model.py",
+        "raw.view(np.uint8).max() <= 1",
+        "raw.view(np.uint8).max() <= 2",
+        ("tests/test_npmle.py::test_one_byte_indicators_other_than_0_or_1_are_refused",),
+    ),
+    Mutant(
+        "tail-means-by-reciprocal",
+        "asymptotics.py",
+        "means /= n - below",
+        "means *= 1.0 / (n - below)",
+        ("tests/test_properties.py::test_tail_pair_is_the_trace_entry_at_every_opening",),
+    ),
+    Mutant(
+        "tail-p2-from-the-least-mean",
+        "asymptotics.py",
+        "float(means.max())",
+        "float(means.min())",
+        ("tests/test_properties.py::test_tail_pair_is_the_trace_entry_at_every_opening",),
+    ),
+    Mutant(
+        "array-check-reads-only-the-least",
+        "model.py",
+        "lo, hi = values.min(), values.max()",
+        "lo = hi = values.min()",
+        (
+            "tests/test_model.py::test_each_array_of_reals_is_refused_in_its_range_words",
+            "tests/test_properties.py::test_an_array_is_refused_exactly_when_an_entry_is",
+        ),
+    ),
+    Mutant(
+        "choice-check-takes-a-non-string",
+        "model.py",
+        "if isinstance(value, str) and value in choices:",
+        "if value in choices:",
+        ("tests/test_model.py::test_each_choice_parameter_is_refused_in_one_form",),
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """Apply ``mutant`` to a copy of ``src/`` and run its tests there; the
+    outcome is ``caught``, ``survived`` or an error naming what failed."""
+    with tempfile.TemporaryDirectory(prefix="curest-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "curest" / mutant.module
+        code = path.read_text(encoding="utf-8")
+        matches = code.count(mutant.text)
+        if matches != 1:
+            return f"error: the text matches {mutant.module} {matches} times, not once"
+        path.write_text(code.replace(mutant.text, mutant.replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        found = subprocess.run(
+            [sys.executable, "-c", "import curest; print(curest.__file__)"],
+            env=env, cwd=tmp, capture_output=True, text=True,
+        ).stdout.strip()
+        if not found.startswith(str(src)):
+            return f"error: the tests would import curest from {found or 'nowhere'}"
+        # The working directory is the copy's, so hypothesis keeps the
+        # mutant's failing examples out of the tree's example database.
+        nodes = [str(ROOT / node) for node in mutant.tests]
+        tests = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *nodes],
+            env=env, cwd=tmp, capture_output=True, text=True,
+        )
+        if tests.returncode == 1:
+            return "caught"
+        if tests.returncode == 0:
+            return "survived"
+        return f"error: pytest exited {tests.returncode}\n{tests.stdout}{tests.stderr}"
+
+
+def main(names: list[str]) -> int:
+    known = {mutant.name: mutant for mutant in CATALOGUE}
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in [known[name] for name in names] or CATALOGUE:
+        outcome = run(mutant)
+        expected = "survived" if mutant.equivalent else "caught"
+        note = f" (equivalent: {mutant.equivalent})" if mutant.equivalent else ""
+        failed += outcome != expected
+        print(f"[mutant] {mutant.name}: {outcome}{note}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

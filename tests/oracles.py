@@ -22,8 +22,8 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from curest import CutoffChoice
-from curest.model import _check_count
-from curest.npmle import NpmleFit, _as_indicator
+from curest.model import _check_count, _indicators
+from curest.npmle import NpmleFit
 
 
 def maxmin_brute(deltas) -> NpmleFit:
@@ -33,7 +33,7 @@ def maxmin_brute(deltas) -> NpmleFit:
     single float division the pooled pass performs, so the two routes agree
     bit for bit, not just within rounding.
     """
-    d = _as_indicator(deltas)
+    d = _indicators(deltas)
     n = d.size
     prefix = np.concatenate(([0], np.cumsum(d)))
     fhat = np.empty(n)
@@ -59,7 +59,7 @@ def pava_by_record(deltas) -> NpmleFit:
     exact integer test and the same single division sum/count as
     ``npmle_pava``, which forms these blocks without the push and pop.
     """
-    d = _as_indicator(deltas)
+    d = _indicators(deltas)
     sums: list[int] = []
     counts: list[int] = []
     for v in d.tolist():

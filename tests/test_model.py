@@ -1,6 +1,8 @@
-"""Distribution specs, mixture sampling, sorting, and CSV round trips."""
+"""Distribution specs, mixture sampling, sorting, CSV round trips, and the
+checkers of arrays of reals and of choice parameters."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,14 +10,22 @@ import pytest
 from curest import (
     CsvFormatError,
     CurrentStatusSample,
+    CutoffRule,
     Exponential,
+    McConfig,
     MixtureSpec,
     SortedSample,
     TabulatedQuantile,
+    cv_m1_curve,
+    cv_m2_curve,
+    ks_distance,
+    log_lik,
     npmle_pava,
     read_csv,
     simulate,
+    theoretical_mn,
     write_csv,
+    z_stats,
 )
 from curest import model
 
@@ -479,3 +489,113 @@ def test_csv_only_a_line_feed_ends_a_line(tmp_path, end):
     path.write_text(f"delta,y\n1,0.5\n0,0.7{end}\n1,2\n", encoding="utf-8", newline="")
     with pytest.raises(CsvFormatError, match="line 3: bad inspection time"):
         read_csv(path)
+
+
+_SPEC = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+
+
+def _drawn(times):
+    """The times a ``_Draws`` checks when its fill yields ``times``."""
+    draws = model._Draws(_SPEC, times.size)
+    draws.fill = lambda seed: times
+    return draws.draw(0)
+
+
+# Each site that checks an array of reals, and the text that refuses one.
+_REAL_ARRAY_SITES = [
+    pytest.param(
+        lambda v: Exponential(1.0).quantile(v),
+        "quantile argument must lie in [0, 1]",
+        id="quantile",
+    ),
+    pytest.param(
+        lambda v: CurrentStatusSample(delta=np.zeros(v.size, dtype=np.int8), y=v),
+        "inspection times must be finite and nonnegative",
+        id="sample-times",
+    ),
+    pytest.param(_drawn, "inspection times must be finite and nonnegative", id="drawn-times"),
+    pytest.param(lambda v: ks_distance(v, "std-normal"), "samples must be finite", id="ks"),
+    pytest.param(
+        lambda v: log_lik(v, np.zeros(v.size)), "f values must lie in [0, 1]", id="log-lik"
+    ),
+    pytest.param(
+        lambda v: theoretical_mn(v, 100, 0.3, 2.0, 1.0),
+        "x must be finite and nonnegative",
+        id="mn-x",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, refused", _REAL_ARRAY_SITES)
+def test_each_array_of_reals_is_refused_in_its_range_words(call, refused):
+    # NaN, both infinities, and the nearest doubles below 0 and above 1
+    # where the range stops there, each amid valid entries.
+    outside = [math.nan, math.inf, -math.inf]
+    if "nonnegative" in refused or "[0, 1]" in refused:
+        outside.append(-5e-324)
+    if "[0, 1]" in refused:
+        outside.append(np.nextafter(1.0, 2.0))
+    for bad in outside:
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            call(np.array([0.0, bad, 1.0]))
+    call(np.array([0.0, 5e-324, 1.0]))
+
+
+def test_an_empty_array_of_reals_passes_where_it_did():
+    assert Exponential(1.0).quantile([]).size == 0
+    assert theoretical_mn([], 100, 0.3, 2.0, 1.0).size == 0
+    with pytest.raises(ValueError, match="^need at least one sample$"):
+        ks_distance([], "std-normal")
+
+
+_SORTED = SortedSample(simulate(_SPEC, 200, 0))
+
+# Each site that checks a choice parameter: the call, which returns the
+# value kept where one is, the name it refuses a value under, and the
+# choices, the first of which the call accepts.
+_CHOICE_SITES = [
+    pytest.param(
+        lambda kind: CutoffRule(kind).kind,
+        "cut-off kind",
+        ("optimal", "undersmoothed", "fixed-x", "fixed-tail"),
+        id="cut-off-kind",
+    ),
+    pytest.param(
+        lambda name: ks_distance([0.1, 0.2], name),
+        "reference",
+        ("std-normal", "half-normal"),
+        id="ks-reference",
+    ),
+    pytest.param(
+        lambda name: z_stats(_SORTED, 1.0, 0.3, name),
+        "studentization",
+        ("known-p", "plug-in"),
+        id="z-stats",
+    ),
+    pytest.param(
+        lambda name: McConfig(_SPEC, 10, 5, 0, CutoffRule("fixed-x", x=1.0), name).studentization,
+        "studentization",
+        ("known-p", "plug-in"),
+        id="mc-config",
+    ),
+    pytest.param(
+        lambda name: cv_m1_curve(_SORTED, name), "variance_stat", ("p1", "p2"), id="cv-m1"
+    ),
+    pytest.param(
+        lambda name: cv_m2_curve(_SORTED, name), "variance_stat", ("p1", "p2"), id="cv-m2"
+    ),
+]
+
+
+@pytest.mark.parametrize("call, name, choices", _CHOICE_SITES)
+def test_each_choice_parameter_is_refused_in_one_form(call, name, choices):
+    # A list, a tuple, a 0-d array or the bytes of a choice are not the
+    # choice, and neither is a string that names none.
+    first = choices[0]
+    for bad in ("bogus", first.upper(), [first], (first,), np.array(first), first.encode(), None):
+        refused = f"{name} must be one of {choices}, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(refused)}$"):
+            call(bad)
+    # A numpy string is taken, and a kept choice is a plain str.
+    kept = call(np.str_(first))
+    assert not isinstance(kept, str) or type(kept) is str

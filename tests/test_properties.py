@@ -44,7 +44,7 @@ from curest import (
 from curest import _band
 from curest._parallel import chunk_spans, replicate_seeds
 from curest.asymptotics import _McSpan, _tail_pair, _z_pair
-from curest.model import _Draws, _sort_records
+from curest.model import _check_real, _check_reals, _Draws, _sort_records
 from curest.npmle import _ProbeSpan
 
 from oracles import (
@@ -893,3 +893,34 @@ def test_inconsistency_probe_equals_the_public_per_sample_chain(
     want = [int(SortedSample(sample).delta[-1]) for sample in chain]
     assert replicate_seeds(partial(_ProbeSpan, spec, n), reps, seed, workers) == want
     assert inconsistency_probe(spec, n, reps, seed, workers) == sum(want) / reps
+
+
+# Doubles at the edges of the ranges: both zeros, the least subnormal of
+# each sign, the least normal double, the doubles on each side of 1, the
+# largest finite doubles, the infinities and NaN.
+edge_doubles = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, 1.0, math.nextafter(1.0, 0.0)]
+    + [math.nextafter(1.0, 2.0), sys.float_info.max, -sys.float_info.max]
+    + [math.inf, -math.inf, math.nan]
+)
+
+
+def _refuses(check, values, within) -> bool:
+    try:
+        check("v", values, within)
+    except ValueError:
+        return True
+    return False
+
+
+@CASES
+@given(
+    values=st.lists(st.one_of(edge_doubles, st.floats()), min_size=1, max_size=20),
+    within=st.sampled_from(["finite", "nonnegative", "positive", "unit", "inner"]),
+)
+def test_an_array_is_refused_exactly_when_an_entry_is(values, within):
+    # _check_reals reads only the least and largest entries; this is the
+    # proof that they decide every range, NaN and signed zeros included.
+    array = np.array(values)
+    by_entry = any(_refuses(_check_real, v, within) for v in array)
+    assert _refuses(_check_reals, array, within) == by_entry
