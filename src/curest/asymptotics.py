@@ -66,16 +66,20 @@ _STUDENTIZATIONS = ("known-p", "plug-in")
 
 
 def ks_distance(samples, reference: str) -> float:
-    """Exact sup distance between the empirical CDF and a reference law.
+    """Exact sup distance between the empirical CDF of ``samples``, a
+    nonempty 1-d sequence of finite reals, and a reference law.
 
     Both one-sided gaps are checked at every jump of the empirical CDF, so
     the sup over the whole line is attained.  Mass below the half-normal
     support (negative samples) counts at full weight; nothing is clamped.
     """
     cdf = _REFERENCES[_check_choice("reference", reference, tuple(_REFERENCES))]
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("samples must be a nonempty 1-d sequence")
     if x.size == 0:
         raise ValueError("need at least one sample")
+    x = np.sort(x)
     _check_reals("samples", x, "finite")
     ref = np.asarray(cdf(x), dtype=float)
     m = x.size

@@ -50,18 +50,17 @@ class EstimatorTrace:
     def __post_init__(self, sample: SortedSample) -> None:
         _check_type("EstimatorTrace", sample, SortedSample)
         n, starts = sample.n, sample.group_start
+        tail_count = (n - starts).astype(np.int64, copy=False)
         # The tail means at each group's start: running sums of the
-        # indicators read from the end, over the counts 1..n.  The sums are
-        # whole numbers, exact in float64, so each mean is the same double
-        # as an integer sum over an integer count.
-        means = sample.delta[::-1].astype(np.float64)
-        means.cumsum(out=means)
-        means /= np.arange(1.0, n + 1.0)
-        p1 = means[n - 1 - starts]
+        # indicators read from the end, each over its group's tail count.
+        # The sums and counts are whole numbers, exact in float64, so each
+        # mean is the same double as an integer sum over an integer count.
+        sums = sample.delta[::-1].astype(np.float64)
+        sums.cumsum(out=sums)
+        p1 = sums[tail_count - 1] / tail_count
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "index", _freeze(starts + 1))
         object.__setattr__(self, "y", _freeze(sample.y[starts]))
-        tail_count = (n - starts).astype(np.int64, copy=False)
         object.__setattr__(self, "tail_count", _freeze(tail_count))
         object.__setattr__(self, "p1", _freeze(p1))
         object.__setattr__(self, "p2", _freeze(np.maximum.accumulate(p1)))

@@ -276,15 +276,24 @@ class CurrentStatusSample:
         return self.delta.size
 
 
+# Below this many records one stable argsort sorts a sample faster than
+# ``_sort_records``' packed keys.  Untied samples set it: at n = 600 the
+# argsort path took 11.0 µs against 11.6, at n = 800 13.9 against 12.8.  A
+# tied sample favours the argsort at every n measured (README).
+_ARGSORT_N = 800
+
+
 @dataclass(frozen=True)
 class SortedSample:
     """A checked sample stably sorted by inspection time, indicators carried
     along; built only from a ``CurrentStatusSample``, so its records are
     checked exactly once.
 
-    The records are sorted by ``_sort_records``; its order of a tie group
-    is not the stable one, so a tied sample takes ``delta`` through a
-    stable argsort instead.
+    A sample of fewer than ``_ARGSORT_N`` records is sorted by one stable
+    argsort, through which it takes both ``y`` and ``delta``.  A larger one
+    is sorted by ``_sort_records``; its order of a tie group is not the
+    stable one, so a tied sample then takes ``delta`` through a stable
+    argsort instead.  Both paths give the same bytes.
 
     ``group_start`` holds the 0-based position opening each run of tied
     inspection times.  Downstream statistics are evaluated once per distinct
@@ -300,9 +309,16 @@ class SortedSample:
     def __post_init__(self, sample: CurrentStatusSample) -> None:
         _check_type("SortedSample", sample, CurrentStatusSample)
         n = sample.n
-        y, delta, opens = np.empty(n), np.empty(n, dtype=np.int8), np.empty(n, dtype=bool)
-        if not _sort_records(sample.y, sample.delta, y, delta, opens):
-            delta = sample.delta[sample.y.argsort(kind="stable")]
+        opens = np.empty(n, dtype=bool)
+        if n < _ARGSORT_N:
+            order = sample.y.argsort(kind="stable")
+            y, delta = sample.y[order], sample.delta[order]
+            opens[0] = True
+            np.not_equal(y[1:], y[:-1], out=opens[1:])
+        else:
+            y, delta = np.empty(n), np.empty(n, dtype=np.int8)
+            if not _sort_records(sample.y, sample.delta, y, delta, opens):
+                delta = sample.delta[sample.y.argsort(kind="stable")]
         object.__setattr__(self, "y", _freeze(y))
         object.__setattr__(self, "delta", _freeze(delta))
         object.__setattr__(self, "group_start", _freeze(opens.nonzero()[0]))
@@ -314,8 +330,9 @@ class SortedSample:
     def tail_start(self, x: float) -> int:
         """0-based position of the first record of the tail ``y >= x``; it
         opens a tie group.  A threshold above the largest inspection time
-        leaves the tail empty and is refused."""
-        i = _tail_start(self.y, x)
+        leaves the tail empty and is refused, as is a threshold that is not
+        finite."""
+        i = _tail_start(self.y, _check_real("cut-off", x, "finite"))
         if i == self.n:
             raise ValueError("cut-off exceeds the largest inspection time; the tail is empty")
         return i

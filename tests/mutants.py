@@ -95,11 +95,50 @@ CATALOGUE = (
         ("tests/test_properties.py::test_tail_pair_is_the_trace_entry_at_every_opening",),
     ),
     Mutant(
+        "tail-p1-by-reciprocal",
+        "asymptotics.py",
+        "p1 = (k - j) / (n - i)\n",
+        "p1 = (k - j) * (1.0 / (n - i))\n",
+        ("tests/test_properties.py::test_tail_pair_is_the_trace_entry_at_every_opening",),
+    ),
+    Mutant(
         "tail-p2-from-the-least-mean",
         "asymptotics.py",
         "float(means.max())",
         "float(means.min())",
         ("tests/test_properties.py::test_tail_pair_is_the_trace_entry_at_every_opening",),
+    ),
+    Mutant(
+        "small-sort-by-quicksort",
+        "model.py",
+        'order = sample.y.argsort(kind="stable")',
+        'order = sample.y.argsort(kind="quicksort")',
+        (
+            "tests/test_properties.py::test_sort_gives_the_bytes_of_a_stable_argsort",
+            "tests/test_properties.py::test_sort_gives_the_bytes_of_a_stable_argsort_at_the_gate",
+        ),
+    ),
+    Mutant(
+        "argsort-gate-takes-its-own-size",
+        "model.py",
+        "if n < _ARGSORT_N:",
+        "if n <= _ARGSORT_N:",
+        (
+            "tests/test_properties.py::test_sort_gives_the_bytes_of_a_stable_argsort_at_the_gate",
+            "tests/test_model.py::test_below_the_gate_every_sample_takes_one_stable_argsort",
+            "tests/test_model.py::test_ties_only_take_the_argsort",
+        ),
+        equivalent=(
+            "both sorts give the bytes of a stable argsort, so a sample of exactly"
+            " _ARGSORT_N records sorts to the same bytes on either path"
+        ),
+    ),
+    Mutant(
+        "trace-means-by-reciprocal",
+        "estimators.py",
+        "p1 = sums[tail_count - 1] / tail_count",
+        "p1 = sums[tail_count - 1] * (1.0 / tail_count)",
+        ("tests/test_properties.py::test_trace_p1_is_the_exact_fraction_of_ones_in_each_tail",),
     ),
     Mutant(
         "array-check-reads-only-the-least",

@@ -230,6 +230,13 @@ def test_simulate_hands_its_boolean_indicators_to_the_sample(monkeypatch):
     assert seen == [np.dtype(bool)] and sample.delta.dtype == np.int8
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_tail_start_refuses_a_cut_off_that_is_not_finite(x):
+    ss = SortedSample(CurrentStatusSample(delta=[1, 0, 1], y=[2.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match=f"^cut-off must be finite, got {x!r}$"):
+        ss.tail_start(x)
+
+
 def test_sorted_sample_derives_tie_groups_from_y():
     sample = CurrentStatusSample(delta=np.array([1, 0, 1]), y=np.array([1.0, 1.0, 2.0]))
     ss = SortedSample(sample)
@@ -270,11 +277,10 @@ def test_sort_checks_no_record_twice(monkeypatch):
     assert len(calls) == 1
 
 
-def test_ties_only_take_the_argsort():
-    # The packed-key sort leaves an untied sample, one with a zero time
-    # included, to a plain sort of keys; only ties take one stable argsort.
-    # Each sample's times are swapped for a view that counts the argsorts
-    # taken of it, through the array method or through np.argsort.
+def argsorts_of_a_sort(sample):
+    """The kinds of the argsorts that ``SortedSample`` takes of the times of
+    ``sample``: they are swapped for a view that counts the argsorts taken
+    of it, through the array method or through np.argsort."""
     calls = []
 
     class CountingTimes(np.ndarray):
@@ -282,22 +288,40 @@ def test_ties_only_take_the_argsort():
             calls.append(kwargs.get("kind"))
             return super().argsort(*args, **kwargs)
 
-    def sort_counting(sample):
-        object.__setattr__(sample, "y", sample.y.view(CountingTimes))
-        SortedSample(sample)
+    object.__setattr__(sample, "y", sample.y.view(CountingTimes))
+    SortedSample(sample)
+    return calls
 
+
+def test_ties_only_take_the_argsort():
+    # At and above the argsort gate, the packed-key sort leaves an untied
+    # sample, one with a zero time included, to a plain sort of keys; only
+    # ties take one stable argsort.
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     untied = simulate(spec, 10_000, seed=0)
+    assert untied.n >= model._ARGSORT_N
     assert np.unique(untied.y).size == untied.n and untied.y.min() > 0.0
-    sort_counting(untied)
+    assert argsorts_of_a_sort(untied) == []
     with_zero = CurrentStatusSample(delta=untied.delta, y=np.append(untied.y[1:], -0.0))
     assert np.unique(with_zero.y).size == with_zero.n and with_zero.y.min() == 0.0
-    sort_counting(with_zero)
-    assert calls == []
+    assert argsorts_of_a_sort(with_zero) == []
     rng = np.random.default_rng(0)
     tied = CurrentStatusSample(delta=rng.integers(0, 2, 10_000), y=rng.integers(1, 9, 10_000))
-    sort_counting(tied)
-    assert calls == ["stable"]
+    assert argsorts_of_a_sort(tied) == ["stable"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 100, model._ARGSORT_N - 1])
+def test_below_the_gate_every_sample_takes_one_stable_argsort(monkeypatch, n):
+    packed = []
+    monkeypatch.setattr(model, "_sort_records", lambda *args: packed.append(args))
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    untied = simulate(spec, n, seed=0)
+    with_zero = CurrentStatusSample(delta=untied.delta, y=np.append(untied.y[1:], -0.0))
+    rng = np.random.default_rng(0)
+    tied = CurrentStatusSample(delta=rng.integers(0, 2, n), y=rng.integers(1, 3, n))
+    for sample in (untied, with_zero, tied):
+        assert argsorts_of_a_sort(sample) == ["stable"]
+    assert packed == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
@@ -546,6 +570,16 @@ def test_an_empty_array_of_reals_passes_where_it_did():
     assert theoretical_mn([], 100, 0.3, 2.0, 1.0).size == 0
     with pytest.raises(ValueError, match="^need at least one sample$"):
         ks_distance([], "std-normal")
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [0.3, [[0.3], [0.1], [0.2]], [[0.3, 0.1], [0.2, 0.4]], np.empty((0, 2))],
+    ids=["scalar", "column", "2x2", "empty-2-d"],
+)
+def test_ks_distance_refuses_samples_that_are_not_1d(samples):
+    with pytest.raises(ValueError, match="^samples must be a nonempty 1-d sequence$"):
+        ks_distance(samples, "std-normal")
 
 
 _SORTED = SortedSample(simulate(_SPEC, 200, 0))

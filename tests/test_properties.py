@@ -44,7 +44,7 @@ from curest import (
 from curest import _band
 from curest._parallel import chunk_spans, replicate_seeds
 from curest.asymptotics import _McSpan, _tail_pair, _z_pair
-from curest.model import _check_real, _check_reals, _Draws, _sort_records
+from curest.model import _ARGSORT_N, _check_real, _check_reals, _Draws, _sort_records
 from curest.npmle import _ProbeSpan
 
 from oracles import (
@@ -74,15 +74,15 @@ FEW_CASES = settings(max_examples=100, deadline=None)
 
 
 @st.composite
-def large_samples(draw):
-    """Samples of up to 400 records: untied times, times on a few tied
-    values, zeros of both signs among a few positive values, one ``-0.0``
-    among untied positive times, or untied times at the ends of the double
-    range (subnormals, times of 2.0 and more, whose keys carry the top
-    exponent bit, and the largest double).  Below 100 records numpy's
-    default sort of doubles happens to be stable, so half the draws are
-    larger, where it is not."""
-    n = draw(st.one_of(st.integers(1, 99), st.integers(100, 400)))
+def large_samples(draw, sizes=st.one_of(st.integers(1, 99), st.integers(100, 400))):
+    """Samples of up to 400 records, or of a size drawn from ``sizes``:
+    untied times, times on a few tied values, zeros of both signs among a
+    few positive values, one ``-0.0`` among untied positive times, or
+    untied times at the ends of the double range (subnormals, times of 2.0
+    and more, whose keys carry the top exponent bit, and the largest
+    double).  Below 100 records numpy's default sort of doubles happens to
+    be stable, so half the draws are larger, where it is not."""
+    n = draw(sizes)
     kinds = ["untied", "tied", "signed-zero", "lone-negative-zero", "extreme"]
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -100,6 +100,11 @@ def large_samples(draw):
         pool = np.concatenate([subnormal, 2.0 ** rng.uniform(1.0, 1023.0, n)])
         y = rng.permutation(np.append(rng.choice(pool, n - 1, replace=False), np.finfo(float).max))
     return CurrentStatusSample(delta=rng.integers(0, 2, n), y=y)
+
+
+# Samples on both sides of the size at which SortedSample stops taking one
+# stable argsort and sorts packed keys.
+gate_samples = large_samples(st.integers(_ARGSORT_N - 1, _ARGSORT_N + 1))
 
 
 # Tests of a SortedSample draw the CurrentStatusSample and sort it in the
@@ -159,6 +164,17 @@ def test_trace_entries_are_distinct_thresholds_with_dominating_running_max(recor
     assert np.array_equal(tr.tail_count, [np.sum(ss.y >= x) for x in tr.y])
     assert np.all(tr.p2 >= tr.p1)
     assert np.all(np.diff(tr.p2) >= 0)
+
+
+@CASES
+@given(sample=st.one_of(samples.map(current_status_sample), gate_samples))
+def test_trace_p1_is_the_exact_fraction_of_ones_in_each_tail(sample):
+    tr = trace(SortedSample(sample))
+    exact = [
+        float(Fraction(int(sample.delta[sample.y >= x].sum()), count))
+        for x, count in zip(tr.y.tolist(), tr.tail_count.tolist())
+    ]
+    assert np.array(exact).tobytes() == tr.p1.tobytes()
 
 
 def outcome(select, curve, guard):
@@ -408,9 +424,12 @@ def test_tail_start_opens_the_tail_of_its_threshold(sample, where, data):
     if where == "below":
         x = math.nextafter(y[0], -math.inf)
     elif where == "above":
+        x = math.nextafter(y[-1], math.inf)
         empty = "^cut-off exceeds the largest inspection time; the tail is empty$"
-        with pytest.raises(ValueError, match=empty):
-            sample.tail_start(math.nextafter(y[-1], math.inf))
+        # Above the largest double there is only +inf, which is no cut-off.
+        refused = empty if math.isfinite(x) else "^cut-off must be finite, got inf$"
+        with pytest.raises(ValueError, match=refused):
+            sample.tail_start(x)
         return
     else:
         x = float(y[j])
@@ -497,6 +516,30 @@ MC_DESIGNS = {
         p, Exponential(2.0), TabulatedQuantile((0.0, 0.5, 1.0), (-0.0, -0.0, 2.0))
     ),
 }
+
+
+def signed_zero_sample(n):
+    # An untied sample with one time of -0.0 and one of 0.0, which tie.
+    sample = simulate(MC_DESIGNS["untied exponential"](0.3), n, 0)
+    y = sample.y.copy()
+    y[[n // 3, 2 * n // 3]] = -0.0, 0.0
+    return CurrentStatusSample(delta=sample.delta, y=y)
+
+
+GATE_DESIGNS = {
+    "untied exponential": lambda n: simulate(MC_DESIGNS["untied exponential"](0.3), n, 0),
+    "tied visits": lambda n: simulate(MC_DESIGNS["tied visits"](0.3), n, 0),
+    "single atom": lambda n: simulate(
+        MixtureSpec(0.3, Exponential(2.0), TabulatedQuantile.point_mass(1.0)), n, 0
+    ),
+    "signed zeros": signed_zero_sample,
+}
+
+
+@pytest.mark.parametrize("n", [_ARGSORT_N - 1, _ARGSORT_N, _ARGSORT_N + 1])
+@pytest.mark.parametrize("design", sorted(GATE_DESIGNS))
+def test_sort_gives_the_bytes_of_a_stable_argsort_at_the_gate(design, n):
+    assert_stable_argsort_bytes(GATE_DESIGNS[design](n))
 
 
 # 1e6 lies above every sample, so each replication is skipped there.
