@@ -29,7 +29,8 @@ surfaces are:
   errors, each with its exit code, stdout, stderr and every file it wrote.
 
 An exception a call raises is part of its surface: its type and message are
-digested in place of the value.  Floats are digested by their bits, so a
+digested in place of the value, but a warning that ``-W error`` turns into
+an exception stops the battery.  Floats are digested by their bits, so a
 change in the last bit of any value shows.  The battery needs only numpy,
 curest and the standard library; the path of the curest it ran goes to
 stderr.  It takes about 13 s on a 2-vCPU machine.
@@ -148,6 +149,8 @@ def outcome(call, *args, **kwargs):
     """``call``'s value, or its exception as (type name, message)."""
     try:
         return call(*args, **kwargs)
+    except Warning:
+        raise
     except Exception as exc:  # noqa: BLE001 - an error is part of the surface
         return ("raised", type(exc).__name__, str(exc))
 
@@ -360,6 +363,8 @@ def run_main(args) -> tuple:
             code = cli.main(list(args))
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
+        except Warning:
+            raise
         except Exception as exc:  # noqa: BLE001 - an escape is part of the surface
             code = ("raised", type(exc).__name__, str(exc))
     return code, out.getvalue(), err.getvalue()
@@ -388,7 +393,8 @@ def cli_battery(tmp: str) -> None:
         before = snapshot()
         for label, args in cli_session():
             if args is None:
-                # Times rounded to quarters tie, as the CI session makes them.
+                # Times rounded to quarters tie, so trace, cv and estimate
+                # take the tied sort path.
                 s = read_csv("sim.csv")
                 write_csv(CurrentStatusSample(s.delta, np.round(s.y * 4) / 4), "tied.csv")
                 code, out, err = 0, "", ""

@@ -157,6 +157,57 @@ CATALOGUE = (
         "if value in choices:",
         ("tests/test_model.py::test_each_choice_parameter_is_refused_in_one_form",),
     ),
+    Mutant(
+        "draw-leaks-its-generator-into-the-next-draw",
+        "model.py",
+        "rng = np.random.default_rng(seed)",
+        'rng = self.__dict__.setdefault("rng", np.random.default_rng(seed))',
+        ("tests/test_properties.py::test_one_workspace_reused_across_seeds_draws_what_simulate_draws",),
+    ),
+    Mutant(
+        "probe-reads-the-second-largest-time",
+        "npmle.py",
+        "return int(self.delta[y.size - 1 - int(np.argmax(y[::-1]))])",
+        'return int(self.delta[y.argsort(kind="stable")[-min(2, y.size)]])',
+        ("tests/test_properties.py::test_inconsistency_probe_equals_the_public_per_sample_chain",),
+    ),
+    Mutant(
+        "moments-sd-with-ddof-0",
+        "asymptotics.py",
+        "np.std(values, ddof=1)",
+        "np.std(values, ddof=0)",
+        ("tests/test_asymptotics.py::test_run_mc_counts_and_moments",),
+    ),
+    Mutant(
+        "fixed-tail-one-record-long",
+        "asymptotics.py",
+        "return float(y[n - m])",
+        "return float(y[n - m - 1])",
+        ("tests/test_asymptotics.py::test_cutoff_rule_validation_and_resolution",),
+    ),
+    Mutant(
+        "large-tied-sort-keeps-the-input-indicators",
+        "model.py",
+        'delta = sample.delta[sample.y.argsort(kind="stable")]',
+        "delta = sample.delta",
+        ("tests/test_cli.py::test_trace_cv_and_estimate_on_both_sides_of_the_argsort_gate",),
+    ),
+    Mutant(
+        "span-seeds-from-its-own-start",
+        "_parallel.py",
+        "return [one(seed + k) for k in range(start, stop)]",
+        "return [one(seed + k - start) for k in range(start, stop)]",
+        ("tests/test_asymptotics.py::test_run_mc_worker_count_is_invisible",),
+    ),
+    Mutant(
+        "band-path-keeps-a-skipped-replication",
+        "asymptotics.py",
+        "if band is None:\n                return None",
+        "if band is None:\n                return math.nan, math.nan",
+        (
+            "tests/test_properties.py::test_run_mc_at_n_1e5_takes_the_band_path_and_equals_the_public_chain",
+        ),
+    ),
 )
 
 

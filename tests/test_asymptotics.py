@@ -219,13 +219,18 @@ def test_run_mc_skips_unreachable_threshold():
 
 def test_run_mc_worker_count_is_invisible():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
-    cfg = McConfig(
-        spec=spec, n=300, reps=37, seed=5, cutoff=CutoffRule(kind="fixed-tail", tail=12)
-    )
-    r1 = run_mc(cfg, workers=1)
-    r2 = run_mc(cfg, workers=3)
-    assert np.array_equal(r1.z1, r2.z1) and np.array_equal(r1.z2, r2.z2)
-    assert r1.skipped == r2.skipped and np.array_equal(r1.rep_index, r2.rep_index)
+    # No record lies below a cut-off of 0, and a tail of n is the whole sample.
+    for rule in [
+        CutoffRule("undersmoothed"), CutoffRule("optimal"), CutoffRule("fixed-x", x=1.0),
+        CutoffRule("fixed-x", x=0.0), CutoffRule("fixed-tail", tail=12),
+        CutoffRule("fixed-tail", tail=300),
+    ]:
+        cfg = McConfig(spec=spec, n=300, reps=37, seed=5, cutoff=rule)
+        r1 = run_mc(cfg, workers=1)
+        for workers in (2, 3):
+            r2 = run_mc(cfg, workers=workers)
+            assert np.array_equal(r1.z1, r2.z1) and np.array_equal(r1.z2, r2.z2)
+            assert r1.skipped == r2.skipped and np.array_equal(r1.rep_index, r2.rep_index)
 
 
 @pytest.mark.parametrize("workers", [0, -3, 2.7])
@@ -800,8 +805,9 @@ def test_thinning_worker_count_is_invisible():
     spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
     config = ThinningConfig(spec, 500, [10.0, 25.0], 40, seed=11)
     t1 = thinning_check(config, workers=1)
-    t2 = thinning_check(config, workers=3)
-    assert np.array_equal(t1.n1, t2.n1) and np.array_equal(t1.n0, t2.n0)
+    for workers in (2, 3):
+        t2 = thinning_check(config, workers=workers)
+        assert np.array_equal(t1.n1, t2.n1) and np.array_equal(t1.n0, t2.n0)
 
 
 def _same_or_both_nan(got, want):

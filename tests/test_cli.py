@@ -23,7 +23,7 @@ import pytest
 import curest
 from curest import asymptotics, cli, estimators, model
 from curest import read_csv, simulate, write_csv, z_stats
-from curest import Exponential, MixtureSpec, SortedSample
+from curest import CurrentStatusSample, Exponential, MixtureSpec, SortedSample
 
 JSON_KEYS = {
     "pHat1",
@@ -686,6 +686,22 @@ def test_estimate_and_mc_name_the_cure_fraction_alike(tmp_path, p):
 
 
 @pytest.mark.parametrize(
+    "flag, value, refused",
+    [
+        ("--p", "nan", "cure fraction p must lie in [0, 1], got nan"),
+        ("--f-rate", "-1", "rate must be positive and finite, got -1.0"),
+    ],
+    ids=["p-nan", "f-rate-negative"],
+)
+def test_simulate_refuses_a_design_parameter_in_its_words(tmp_path, flag, value, refused):
+    flags = {"--p": "0.3", "--f-rate": "2", "--g-rate": "1", "--n": "10", flag: value}
+    flags["--out"] = str(tmp_path / "x.csv")
+    res = run_cli("simulate", *(item for pair in flags.items() for item in pair))
+    assert res.returncode == 2
+    assert res.stderr.splitlines()[-1].endswith(f"{flag}: {refused}")
+
+
+@pytest.mark.parametrize(
     "command, flag, value",
     [
         ("simulate", "--f-rate", "nan"),
@@ -820,6 +836,34 @@ def test_cli_outputs_reparse_losslessly(tmp_path):
     # every float written with 17 significant digits comes back bitwise
     got_y = np.array([float(r["y"]) for r in rows])
     assert np.array_equal(np.unique(ss.y), got_y)
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+@pytest.mark.parametrize("n", [200, 2000])
+def test_trace_cv_and_estimate_on_both_sides_of_the_argsort_gate(tmp_path, n, tied):
+    # 200 records take one stable argsort; 2,000 take the packed-key sort,
+    # and a tied sample its indicators through a stable argsort.
+    assert 200 < model._ARGSORT_N < 2000
+    spec = MixtureSpec(p=0.3, event=Exponential(2.0), inspection=Exponential(1.0))
+    sample = simulate(spec, n, seed=1)
+    if tied:
+        sample = CurrentStatusSample(delta=sample.delta, y=np.round(sample.y * 4) / 4)
+    data, out, summary = tmp_path / "sim.csv", tmp_path / "out.csv", tmp_path / "est.json"
+    write_csv(sample, data)
+    assert run_cli("trace", "--data", str(data), "--out", str(out)).returncode == 0
+    rows = read_rows(out)
+    y, p1, p2 = (np.array([float(r[k]) for r in rows]) for k in ("y", "p1", "p2"))
+    # Each distinct time's p1 is its tail's fraction of ones, read by a mask.
+    assert np.array_equal(y, np.unique(sample.y))
+    tails = [sample.y >= u for u in y]
+    assert p1.tolist() == [np.count_nonzero(sample.delta[t]) / np.count_nonzero(t) for t in tails]
+    assert np.all(p2 >= p1) and np.all(np.diff(p2) >= 0)
+    assert run_cli("cv", "--data", str(data), "--out", str(out)).returncode == 0
+    assert len(read_rows(out)) == len(rows)
+    est = ("estimate", "--data", str(data), "--method", "cv-m2", "--json-summary", str(summary))
+    assert run_cli(*est).returncode == 0
+    payload = json.loads(summary.read_text())
+    assert payload["pHat2"] <= payload["pHat1"]
 
 
 def test_usage_errors():

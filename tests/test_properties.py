@@ -853,15 +853,25 @@ def test_the_band_path_equals_the_public_chain_on_drawn_samples(
 
 
 @pytest.mark.parametrize(
-    "rule",
-    [CutoffRule("undersmoothed"), CutoffRule("fixed-tail", tail=300), CutoffRule("optimal")],
-    ids=["undersmoothed", "fixed-tail", "optimal"],
+    "rule, skipped",
+    [
+        pytest.param(CutoffRule("undersmoothed"), 0, id="undersmoothed"),
+        pytest.param(CutoffRule("fixed-tail", tail=300), 0, id="fixed-tail"),
+        pytest.param(CutoffRule("optimal"), 0, id="optimal"),
+        # 12 lies above every record of about half the samples, which the
+        # band path skips; 0 keeps every replication.
+        pytest.param(CutoffRule("fixed-x", x=12.0), 5, id="fixed-x-12"),
+        pytest.param(CutoffRule("fixed-x", x=0.0), 0, id="fixed-x-0"),
+    ],
 )
-def test_run_mc_at_n_1e5_takes_the_band_path_and_equals_the_public_chain(rule):
-    config = McConfig(MC_DESIGNS["untied exponential"](0.3), 100_000, 3, 17, rule)
+def test_run_mc_at_n_1e5_takes_the_band_path_and_equals_the_public_chain(rule, skipped):
+    config = McConfig(MC_DESIGNS["untied exponential"](0.3), 100_000, 8, 17, rule)
     assert _McSpan(config).buckets is not None
-    res = run_mc(config)
-    assert (res.rep_index.tobytes(), res.z1.tobytes(), res.z2.tobytes()) == public_chain(config)
+    want = public_chain(config)
+    for workers in (1, 2):
+        res = run_mc(config, workers)
+        assert (res.rep_index.tobytes(), res.z1.tobytes(), res.z2.tobytes()) == want
+        assert res.skipped == skipped
 
 
 def test_the_band_path_runs_only_where_it_can_pay():
